@@ -189,8 +189,7 @@ func (p *Program) native() *natProg {
 // buildNative generates, compiles and loads the plugin for p.
 func buildNative(p *Program) *natProg {
 	src, metas := natGenerate(p)
-	sum := sha256.Sum256([]byte(src))
-	hash := hex.EncodeToString(sum[:])
+	key := natKey(natToolchain, src)
 	fallback := func(reason string, detail string) *natProg {
 		natCount(func(s *NativeTierStats) {
 			s.Failures++
@@ -200,10 +199,10 @@ func buildNative(p *Program) *natProg {
 				s.FallbackBuildError++
 			}
 		})
-		natEvent(NativeBuildEvent{Hash: hash, Kind: "fallback:" + reason, Start: time.Now(), Detail: detail})
+		natEvent(NativeBuildEvent{Hash: key, Kind: "fallback:" + reason, Start: time.Now(), Detail: detail})
 		return nil
 	}
-	soPath, err := natEnsurePlugin(hash, src)
+	soPath, err := natEnsurePlugin(key, src)
 	if err != nil {
 		return fallback(NativeFallbackBuildError, err.Error())
 	}
@@ -225,59 +224,69 @@ func buildNative(p *Program) *natProg {
 			np.fns[i] = natFn{code: (*fns)[i], at: metas[i].at}
 		}
 	}
-	natEvent(NativeBuildEvent{Hash: hash, Kind: "promote", Start: time.Now()})
+	natEvent(NativeBuildEvent{Hash: key, Kind: "promote", Start: time.Now()})
 	return np
 }
 
 var natBuildMu sync.Mutex
-var natBuilt = map[string]string{} // source hash -> .so path ("" = failed)
+var natBuilt = map[string]string{} // plugin key -> .so path ("" = failed)
 
-// natSuffix distinguishes race-enabled plugin builds: a -race host can only
-// load -race plugins and vice versa, so the two populations get separate
-// cache files.
-func natSuffix() string {
-	if raceEnabled {
-		return ".race.so"
-	}
-	return ".so"
+// natToolchain identifies the toolchain this process builds and loads
+// plugins with. A plugin only loads into a host built by the same Go release
+// for the same platform and race mode, so all of them are part of the key.
+var natToolchain = fmt.Sprintf("%s %s/%s race=%t", runtime.Version(), runtime.GOOS, runtime.GOARCH, raceEnabled)
+
+// natKey is the plugin cache key: the sha256 of the toolchain identity and
+// the generated source. It names the cached .so and the plugin's module path.
+func natKey(toolchain, src string) string {
+	sum := sha256.Sum256([]byte(toolchain + "\n" + src))
+	return hex.EncodeToString(sum[:])
+}
+
+// natPluginPath is where the plugin with the given key is cached.
+func natPluginPath(key string) string {
+	return filepath.Join(os.TempDir(), "mi-native", key+".so")
 }
 
 // natEnsurePlugin returns the path of the compiled plugin for src,
 // building it if no cached artifact exists. Builds are serialized; the .so
-// is content-addressed by the source hash, so concurrent processes race only
-// on an atomic rename of identical artifacts.
-func natEnsurePlugin(hash, src string) (string, error) {
+// is content-addressed by its key, so concurrent processes race only on an
+// atomic rename of identical artifacts.
+func natEnsurePlugin(key, src string) (string, error) {
 	natBuildMu.Lock()
 	defer natBuildMu.Unlock()
-	if path, ok := natBuilt[hash]; ok {
+	if path, ok := natBuilt[key]; ok {
 		if path == "" {
 			return "", errors.New("bytecode: native build failed previously")
 		}
 		natCount(func(s *NativeTierStats) { s.CacheHits++ })
 		return path, nil
 	}
-	path, err := natBuildPlugin(hash, src)
+	path, err := natBuildPlugin(key, src)
 	if err != nil {
-		natBuilt[hash] = ""
+		natBuilt[key] = ""
 		return "", err
 	}
-	natBuilt[hash] = path
+	natBuilt[key] = path
 	return path, nil
 }
 
-func natBuildPlugin(hash, src string) (string, error) {
-	dir := filepath.Join(os.TempDir(), "mi-native")
+func natBuildPlugin(key, src string) (string, error) {
+	soPath := natPluginPath(key)
+	dir := filepath.Dir(soPath)
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return "", err
 	}
-	soPath := filepath.Join(dir, hash+natSuffix())
 	if _, err := os.Stat(soPath); err == nil {
 		natCount(func(s *NativeTierStats) { s.CacheHits++ })
 		return soPath, nil
 	}
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		return "", err
+	// Build with the toolchain natToolchain names; PATH's go only if it is gone.
+	goTool := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if _, err := os.Stat(goTool); err != nil || runtime.GOROOT() == "" {
+		if goTool, err = exec.LookPath("go"); err != nil {
+			return "", err
+		}
 	}
 	work, err := os.MkdirTemp(dir, "build-")
 	if err != nil {
@@ -286,7 +295,7 @@ func natBuildPlugin(hash, src string) (string, error) {
 	defer os.RemoveAll(work)
 	// The module path doubles as the pluginpath; it must be unique per
 	// distinct plugin or the runtime refuses to load a second one.
-	gomod := fmt.Sprintf("module natplug%s\n\ngo 1.24\n", hash[:16])
+	gomod := fmt.Sprintf("module natplug%s\n\ngo 1.24\n", key[:16])
 	if err := os.WriteFile(filepath.Join(work, "go.mod"), []byte(gomod), 0o666); err != nil {
 		return "", err
 	}
@@ -297,11 +306,11 @@ func natBuildPlugin(hash, src string) (string, error) {
 	if raceEnabled {
 		args = append(args, "-race")
 	}
-	out := filepath.Join(work, "plug"+natSuffix())
+	out := filepath.Join(work, "plug.so")
 	args = append(args, "-o", out, ".")
 	cmd := exec.Command(goTool, args...)
 	cmd.Dir = work
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=1", "GOFLAGS=", "GOWORK=off", "GO111MODULE=on", "GOPROXY=off")
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=1", "GOFLAGS=", "GOWORK=off", "GO111MODULE=on", "GOPROXY=off", "GOTOOLCHAIN=local")
 	start := time.Now()
 	msg, err := cmd.CombinedOutput()
 	dur := time.Since(start)
@@ -309,8 +318,8 @@ func natBuildPlugin(hash, src string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("bytecode: native build: %v: %s", err, msg)
 	}
-	natEvent(NativeBuildEvent{Hash: hash, Kind: "build", Start: start, Dur: dur})
-	// Atomic publish: a concurrent process building the same hash renames an
+	natEvent(NativeBuildEvent{Hash: key, Kind: "build", Start: start, Dur: dur})
+	// Atomic publish: a concurrent process building the same key renames an
 	// identical artifact over ours, which is fine.
 	if err := os.Rename(out, soPath); err != nil {
 		return "", err

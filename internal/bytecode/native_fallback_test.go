@@ -1,8 +1,6 @@
 package bytecode
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -92,14 +90,13 @@ int main(void) {
 }
 `)
 	src, _ := natGenerate(prog)
-	sum := sha256.Sum256([]byte(src))
-	hash := hex.EncodeToString(sum[:])
+	key := natKey(natToolchain, src)
 	natBuildMu.Lock()
-	natBuilt[hash] = "" // poison: "this source failed to build before"
+	natBuilt[key] = "" // poison: "this source failed to build before"
 	natBuildMu.Unlock()
 	defer func() {
 		natBuildMu.Lock()
-		delete(natBuilt, hash)
+		delete(natBuilt, key)
 		natBuildMu.Unlock()
 	}()
 	before := NativeStats()
@@ -134,13 +131,11 @@ int main(void) {
 }
 `)
 	src, _ := natGenerate(prog)
-	sum := sha256.Sum256([]byte(src))
-	hash := hex.EncodeToString(sum[:])
-	dir := filepath.Join(os.TempDir(), "mi-native")
-	if err := os.MkdirAll(dir, 0o777); err != nil {
+	key := natKey(natToolchain, src)
+	soPath := natPluginPath(key)
+	if err := os.MkdirAll(filepath.Dir(soPath), 0o777); err != nil {
 		t.Fatal(err)
 	}
-	soPath := filepath.Join(dir, hash+natSuffix())
 	// A corrupt cached artifact: the on-disk stat succeeds (counted as a
 	// cache hit), the plugin load fails.
 	if err := os.WriteFile(soPath, []byte("not an ELF shared object"), 0o666); err != nil {
@@ -148,11 +143,11 @@ int main(void) {
 	}
 	defer os.Remove(soPath)
 	natBuildMu.Lock()
-	delete(natBuilt, hash)
+	delete(natBuilt, key)
 	natBuildMu.Unlock()
 	defer func() {
 		natBuildMu.Lock()
-		delete(natBuilt, hash)
+		delete(natBuilt, key)
 		natBuildMu.Unlock()
 	}()
 	before := NativeStats()
@@ -190,5 +185,25 @@ int main(void) { return 7; }
 	}
 	if d := NativeStats().FallbackPolicy - before.FallbackPolicy; d != 1 {
 		t.Errorf("FallbackPolicy delta = %d, want 1", d)
+	}
+}
+
+// TestNativeKey pins what makes two plugins the same: the toolchain identity
+// (release, platform, race mode) and every byte of the generated source.
+func TestNativeKey(t *testing.T) {
+	const tc, src = "go1.24.0 linux/amd64 race=false", "package main\n\nfunc main() {}\n"
+	for _, c := range []struct{ name, tc, src string }{
+		{"go release", "go1.25.0 linux/amd64 race=false", src},
+		{"platform", "go1.24.0 darwin/arm64 race=false", src},
+		{"race", "go1.24.0 linux/amd64 race=true", src},
+		{"one source byte", tc, src + " "},
+	} {
+		a, b := natKey(tc, src), natKey(c.tc, c.src)
+		if a == b || natPluginPath(a) == natPluginPath(b) || a[:16] == b[:16] {
+			t.Errorf("%s: same key %s, want distinct keys, paths and module paths", c.name, a)
+		}
+	}
+	if natKey(tc, src) != natKey(tc, src) {
+		t.Error("identical inputs gave different keys")
 	}
 }

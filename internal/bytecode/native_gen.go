@@ -2,7 +2,6 @@ package bytecode
 
 import (
 	"fmt"
-	"go/format"
 	"sort"
 	"strings"
 
@@ -232,56 +231,36 @@ func natContribOf(fn *Fn, cm *vm.CostModel, o *op) natContrib {
 		c.sr = 1
 	case opSBLoadBase, opSBLoadBound:
 		c.ml, c.co = 1, c.co+cm.SBMetaLoad
-	case opSBStoreMD:
+	case opSBStoreMD, opSBStoreMDProf:
 		c.ms, c.co = 1, c.co+cm.SBMetaStore
-	case opSBCheck:
+	case opSBCheck, opSBCheckProf:
 		c.ck, c.co = 1, c.co+cm.SBCheck
-	case opLFCheck:
+	case opLFCheck, opLFCheckProf:
 		c.ck, c.co = 1, c.co+cm.LFCheck
-	case opLFCheckInv:
+	case opLFCheckInv, opLFCheckInvProf:
 		c.iv, c.co = 1, c.co+cm.LFCheck
 	case opLFBase:
 		c.co += cm.LFBase
-	case opSBCheckLoad:
+	case opSBCheckLoad, opSBCheckLoadProf:
 		c.in, c.st, c.ck, c.ld = 2, 2, 1, 1
 		c.co += cm.SBCheck + fn.aux[o.x].cost2
-	case opSBCheckStore:
+	case opSBCheckStore, opSBCheckStoreProf:
 		c.in, c.st, c.ck, c.sr = 2, 2, 1, 1
 		c.co += cm.SBCheck + fn.aux[o.x].cost2
-	case opLFCheckLoad:
+	case opLFCheckLoad, opLFCheckLoadProf:
 		c.in, c.st, c.ck, c.ld = 2, 2, 1, 1
 		c.co += cm.LFCheck + fn.aux[o.x].cost2
-	case opLFCheckStore:
+	case opLFCheckStore, opLFCheckStoreProf:
 		c.in, c.st, c.ck, c.sr = 2, 2, 1, 1
 		c.co += cm.LFCheck + fn.aux[o.x].cost2
-
+	}
+	// Profiling twins account like their plain ops plus their own site.
+	switch o.code {
 	case opSBStoreMDProf:
-		c.ms, c.co = 1, c.co+cm.SBMetaStore
 		c.addSite(o.imm, cm.SBMetaStore)
-	case opSBCheckProf:
-		c.ck, c.co = 1, c.co+cm.SBCheck
+	case opSBCheckProf, opSBCheckLoadProf, opSBCheckStoreProf:
 		c.addSite(o.imm, cm.SBCheck)
-	case opLFCheckProf:
-		c.ck, c.co = 1, c.co+cm.LFCheck
-		c.addSite(o.imm, cm.LFCheck)
-	case opLFCheckInvProf:
-		c.iv, c.co = 1, c.co+cm.LFCheck
-		c.addSite(o.imm, cm.LFCheck)
-	case opSBCheckLoadProf:
-		c.in, c.st, c.ck, c.ld = 2, 2, 1, 1
-		c.co += cm.SBCheck + fn.aux[o.x].cost2
-		c.addSite(o.imm, cm.SBCheck)
-	case opSBCheckStoreProf:
-		c.in, c.st, c.ck, c.sr = 2, 2, 1, 1
-		c.co += cm.SBCheck + fn.aux[o.x].cost2
-		c.addSite(o.imm, cm.SBCheck)
-	case opLFCheckLoadProf:
-		c.in, c.st, c.ck, c.ld = 2, 2, 1, 1
-		c.co += cm.LFCheck + fn.aux[o.x].cost2
-		c.addSite(o.imm, cm.LFCheck)
-	case opLFCheckStoreProf:
-		c.in, c.st, c.ck, c.sr = 2, 2, 1, 1
-		c.co += cm.LFCheck + fn.aux[o.x].cost2
+	case opLFCheckProf, opLFCheckInvProf, opLFCheckLoadProf, opLFCheckStoreProf:
 		c.addSite(o.imm, cm.LFCheck)
 	}
 	return c
@@ -932,7 +911,8 @@ func (g *natFnGen) generate(idx int) (string, natFnMeta, bool) {
 // natGenerate emits the full plugin source for p. The source depends only on
 // the program's code shape (ops, plans, baked cost model) — constant values,
 // global and function addresses stay in the host-loaded register file — so
-// its hash keys the on-disk plugin cache across processes.
+// it keys the on-disk plugin cache across processes (natKey). It is left
+// unformatted: go build does not need gofmt, and gofmt cost most of a bind.
 func natGenerate(p *Program) (string, []natFnMeta) {
 	var b strings.Builder
 	b.WriteString("// Code generated by the native execution tier (internal/bytecode/native_gen.go). DO NOT EDIT.\n")
@@ -961,10 +941,5 @@ func natGenerate(p *Program) (string, []natFnMeta) {
 	}
 	b.WriteString("}\n\nfunc main() {}\n\n")
 	b.WriteString(fnsrc.String())
-
-	src := b.String()
-	if formatted, err := format.Source([]byte(src)); err == nil {
-		src = string(formatted)
-	}
-	return src, metas
+	return b.String(), metas
 }
