@@ -32,9 +32,10 @@ type natEnv = struct {
 	// calls, so generated code can batch statistics with plain adds.
 	Cnt [16]uint64
 	// PageID/Pages form a direct-mapped page cache (natPageWays slots,
-	// indexed by low page-number bits; IDs are page number plus one so the
-	// zero value never matches). It is per-engine state owned by the host so
-	// concurrent engines on the same plugin never share translations.
+	// indexed by a fold of the page number, see natSlotExpr; IDs are page
+	// number plus one so the zero value never matches). It is per-engine
+	// state owned by the host so concurrent engines on the same plugin
+	// never share translations.
 	PageID [512]uint64
 	Pages  [512]*[65536]byte
 	// Sites is a flat view of the VM's per-site profile (vm.SiteCount laid

@@ -433,6 +433,16 @@ func (g *natFnGen) emitBatch(units []int) {
 	}
 }
 
+// natSlotExpr renders the page-cache slot of the page id held in pn (page
+// number plus one): its low bits with the higher bits folded in. Every
+// Low-Fat region spans 1<<19 pages, so the low bits alone would put the
+// first page of all 27 size regions in one slot and the top of every
+// region's stack mirror in another; the fold spreads them, the heap, the
+// globals and the stack over distinct slots.
+func natSlotExpr(pn string) string {
+	return fmt.Sprintf("(%s ^ %s>>16 ^ %s>>20) & %d", pn, pn, pn, natPageWays-1)
+}
+
 // emitAccess renders the interpreter's load/store fast path (page cache,
 // null guard, in-page aligned width) with the slow path delegated to the
 // address space. rb is the rollback owed if the access faults.
@@ -454,7 +464,7 @@ func (g *natFnGen) emitAccess(isLoad bool, addr string, width uint8, val string,
 		return
 	}
 	g.pf("if a%d >= %d && a%d&%d <= %d && a%d+%d > a%d {\n", t, 1<<20, t, 65535, 65536-int(width), t, width, t)
-	g.pf("pn%d := a%d>>16 + 1\ns%d := pn%d & %d\n", t, t, t, t, natPageWays-1)
+	g.pf("pn%d := a%d>>16 + 1\ns%d := %s\n", t, t, t, natSlotExpr(fmt.Sprintf("pn%d", t)))
 	g.pf("if ev.PageID[s%d] != pn%d {\npg%d, err%d := ev.PageFor(a%d)\nif err%d != nil {\n%sreturn 0, err%d\n}\nev.Pages[s%d] = pg%d\nev.PageID[s%d] = pn%d\n}\n",
 		t, t, t, t, t, t, rb, t, t, t, t, t)
 	off := fmt.Sprintf("a%d&65535", t)

@@ -113,14 +113,15 @@ type Result struct {
 	rec *PerfRecord
 }
 
-// Runner caches compiled benchmark modules and execution results, so that
-// figures sharing configurations (e.g. the baseline) reuse runs.
+// Runner caches optimized benchmark modules and execution results, so that
+// configurations share the pipeline work before their instrumentation point
+// and figures sharing configurations (e.g. the baseline) reuse runs.
 type Runner struct {
-	mu      sync.Mutex
-	modules map[string]*ir.Module
-	cache   map[string]*cacheEntry
-	engine  bytecode.EngineKind
-	par     int
+	mu       sync.Mutex
+	prefixes map[prefixKey]*prefixEntry
+	cache    map[string]*cacheEntry
+	engine   bytecode.EngineKind
+	par      int
 	// siteProfile enables per-check-site counters (vm.Options.SiteProfile)
 	// for subsequent runs; results are cached per setting.
 	siteProfile bool
@@ -165,12 +166,44 @@ type cacheEntry struct {
 	err  error
 }
 
+// prefixKey identifies a memoized pipeline prefix: the benchmark, the
+// extension point the prefix runs up to (opt.PrefixEnd) and the
+// optimization level.
+type prefixKey struct {
+	bench string
+	end   opt.ExtPoint
+	level int
+}
+
+// prefixEntry memoizes one pipeline prefix. Like cacheEntry it is
+// singleflight, but a computation that fails or panics leaves mod nil, so
+// the next attempt recomputes it instead of inheriting the failure.
+type prefixEntry struct {
+	mu  sync.Mutex
+	mod *ir.Module
+}
+
+// get returns a fresh clone of the memoized module, computing the module
+// first if no earlier call has, and reports whether it was shared (computed
+// by an earlier call).
+func (e *prefixEntry) get(compute func() (*ir.Module, error)) (m *ir.Module, shared bool, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	shared = e.mod != nil
+	if !shared {
+		if e.mod, err = compute(); err != nil {
+			return nil, false, err
+		}
+	}
+	return ir.CloneModule(e.mod), shared, nil
+}
+
 // NewRunner returns an empty runner using the tree engine (the reference
 // default; campaigns opt into bytecode via SetEngine).
 func NewRunner() *Runner {
 	return &Runner{
-		modules: make(map[string]*ir.Module),
-		cache:   make(map[string]*cacheEntry),
+		prefixes: make(map[prefixKey]*prefixEntry),
+		cache:    make(map[string]*cacheEntry),
 	}
 }
 
@@ -297,20 +330,35 @@ func configKey(cfg RunConfig) string {
 		cfg.Core.LFTransformCommonToWeak, cfg.EP, cfg.OptLevel)
 }
 
-// module returns a fresh clone of the benchmark's compiled module.
-func (r *Runner) module(b *spec.Benchmark) (*ir.Module, error) {
+// prefix returns a fresh clone of the benchmark's module after the
+// pipeline stages that precede extension point end, memoized per
+// prefixKey: the baseline and every configuration instrumenting at the same
+// point share one frontend compile and one prefix run. The cell that
+// computes the prefix records the stages' spans on its track; a cell that
+// reuses it records one pipeline-prefix span marked shared.
+func (r *Runner) prefix(b *spec.Benchmark, end opt.ExtPoint, level int, tr *telemetry.Trace, tid int) (*ir.Module, error) {
+	key := prefixKey{bench: b.Name, end: end, level: level}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.modules[b.Name]
+	e, ok := r.prefixes[key]
 	if !ok {
-		var err error
-		m, err = b.Compile()
+		e = &prefixEntry{}
+		r.prefixes[key] = e
+	}
+	r.mu.Unlock()
+	sp := tr.Begin("pipeline-prefix", tid)
+	m, shared, err := e.get(func() (*ir.Module, error) {
+		m, err := b.Compile()
 		if err != nil {
 			return nil, err
 		}
-		r.modules[b.Name] = m
+		opt.RunPrefix(m, end, opt.PipelineOptions{Level: level, Trace: tr, TraceTID: tid})
+		return m, nil
+	})
+	if shared {
+		sp.Arg("shared", true)
+		sp.End()
 	}
-	return ir.CloneModule(m), nil
+	return m, err
 }
 
 // costKey fingerprints a cost model for result-cache keys: two runs under
@@ -405,9 +453,10 @@ type panicError struct{ msg string }
 
 func (e *panicError) Error() string { return e.msg }
 
-// runAttempt executes one supervised attempt at a cell: a fresh module
-// clone through the pipeline, instrumentation and VM, with the attempt's
-// interrupt flag wired into the engines' step-count poll.
+// runAttempt executes one supervised attempt at a cell: a fresh clone of
+// the memoized pipeline prefix through the rest of the pipeline,
+// instrumentation and VM, with the attempt's interrupt flag wired into the
+// engines' step-count poll.
 func (r *Runner) runAttempt(b *spec.Benchmark, cfg RunConfig, engine bytecode.EngineKind, prof, forensics bool, cost *vm.CostModel, key string, flag *vm.InterruptFlag, attempt int, rc RunCtx) (res *Result, err error) {
 	// A panic anywhere in the pipeline, instrumentation or VM must not take
 	// down the whole campaign: it becomes this run's failure.
@@ -429,10 +478,6 @@ func (r *Runner) runAttempt(b *spec.Benchmark, cfg RunConfig, engine bytecode.En
 		lg.Debug("cell start", "attempt", attempt+1)
 	}
 
-	m, err := r.module(b)
-	if err != nil {
-		return nil, err
-	}
 	res = &Result{Bench: b.Name, Config: cfg}
 
 	// The server hands each cell the track it already opened (with the queue
@@ -442,33 +487,7 @@ func (r *Runner) runAttempt(b *spec.Benchmark, cfg RunConfig, engine bytecode.En
 		tid = tr.Track(b.Name + "/" + cfg.Label)
 	}
 
-	var hook func(*ir.Module)
-	if cfg.Instrument {
-		hook = func(mod *ir.Module) {
-			sp := tr.Begin("instrument:"+cfg.Core.Mechanism.String(), tid)
-			s, ierr := core.Instrument(mod, cfg.Core)
-			if ierr != nil {
-				sp.End()
-				err = fmt.Errorf("instrumenting %s: %w", b.Name, ierr)
-				return
-			}
-			sp.Arg("checks_placed", s.ChecksPlaced)
-			sp.Arg("checks_eliminated", s.Opt.ChecksEliminated)
-			sp.Arg("checks_hoisted", s.Opt.ChecksHoisted)
-			sp.Arg("sites", s.Sites.Len())
-			sp.End()
-			res.InstrStats = s
-			if lg != nil {
-				lg.Debug("cell instrumented",
-					"checks_placed", s.ChecksPlaced,
-					"checks_eliminated", s.Opt.ChecksEliminated,
-					"checks_hoisted", s.Opt.ChecksHoisted,
-					"sites", s.Sites.Len())
-			}
-		}
-	}
-	popts := opt.PipelineOptions{Level: cfg.OptLevel, Stats: &res.PipeStats, Trace: tr, TraceTID: tid}
-	opt.RunPipeline(m, cfg.EP, hook, popts)
+	m, err := r.compile(b, cfg, res, tr, tid, lg)
 	if err != nil {
 		return nil, err
 	}
@@ -529,6 +548,49 @@ func (r *Runner) runAttempt(b *spec.Benchmark, cfg RunConfig, engine bytecode.En
 		}
 	}
 	return res, nil
+}
+
+// compile runs a cell's optimization pipeline: a clone of the memoized
+// prefix, then the instrumentation hook (for instrumented configurations)
+// and the remaining stages. It fills res.InstrStats and res.PipeStats and
+// returns the final module.
+func (r *Runner) compile(b *spec.Benchmark, cfg RunConfig, res *Result, tr *telemetry.Trace, tid int, lg *slog.Logger) (*ir.Module, error) {
+	var hook func(*ir.Module)
+	var err error
+	if cfg.Instrument {
+		hook = func(mod *ir.Module) {
+			sp := tr.Begin("instrument:"+cfg.Core.Mechanism.String(), tid)
+			s, ierr := core.Instrument(mod, cfg.Core)
+			if ierr != nil {
+				sp.End()
+				err = fmt.Errorf("instrumenting %s: %w", b.Name, ierr)
+				return
+			}
+			sp.Arg("checks_placed", s.ChecksPlaced)
+			sp.Arg("checks_eliminated", s.Opt.ChecksEliminated)
+			sp.Arg("checks_hoisted", s.Opt.ChecksHoisted)
+			sp.Arg("sites", s.Sites.Len())
+			sp.End()
+			res.InstrStats = s
+			if lg != nil {
+				lg.Debug("cell instrumented",
+					"checks_placed", s.ChecksPlaced,
+					"checks_eliminated", s.Opt.ChecksEliminated,
+					"checks_hoisted", s.Opt.ChecksHoisted,
+					"sites", s.Sites.Len())
+			}
+		}
+	}
+	end := opt.PrefixEnd(cfg.EP, hook)
+	m, err := r.prefix(b, end, cfg.OptLevel, tr, tid)
+	if err != nil {
+		return nil, err
+	}
+	opt.RunSuffix(m, end, hook, opt.PipelineOptions{Level: cfg.OptLevel, Stats: &res.PipeStats, Trace: tr, TraceTID: tid})
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // cellLogger returns the structured logger with the cell's common attributes

@@ -2,8 +2,11 @@ package ir
 
 // CloneModule returns a deep copy of the module: globals, functions, blocks
 // and instructions are fresh objects; constants are shared (they are
-// immutable). The harness uses this to instrument the same program under
-// several configurations without recompiling.
+// immutable). Blocks and instructions keep their ids and every function
+// keeps its id counter, so names derived from ids later (AdoptInstr, builder
+// temporaries) come out the same in the clone as in the original. The
+// harness uses this to instrument the same optimized program under several
+// configurations without recompiling or re-optimizing it.
 func CloneModule(m *Module) *Module {
 	nm := NewModule(m.Name)
 	gmap := make(map[*Global]*Global, len(m.Globals))
@@ -85,10 +88,11 @@ func cloneBody(src, dst *Func, gmap map[*Global]*Global, fmap map[*Func]*Func) {
 	imap := make(map[*Instr]*Instr)
 
 	for _, b := range src.Blocks {
-		nb := dst.NewBlock(b.Name)
-		nb.Name = b.Name // keep exact name; uniqueness holds because source names are unique
+		nb := &Block{Name: b.Name, Parent: dst, id: b.id}
+		dst.Blocks = append(dst.Blocks, nb)
 		bmap[b] = nb
 	}
+	dst.nextID = src.nextID
 
 	mapValue := func(v Value) Value {
 		switch x := v.(type) {
@@ -114,7 +118,7 @@ func cloneBody(src, dst *Func, gmap map[*Global]*Global, fmap map[*Func]*Func) {
 				Op: in.Op, Ty: in.Ty, Pred: in.Pred, AllocTy: in.AllocTy,
 				SrcTy: in.SrcTy, Name: in.Name, Tag: in.Tag,
 				Loc: in.Loc, Site: in.Site, AllocSite: in.AllocSite,
-				id: dst.allocID(),
+				id: in.id,
 			}
 			imap[in] = ni
 			nb.Append(ni)

@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"strings"
-
 	"repro/internal/analysis"
 	"repro/internal/ir"
 	"repro/internal/rt"
@@ -35,6 +33,7 @@ func (p *CheckCSE) Run(f *ir.Func) bool {
 	changed := false
 	preds := analysis.Predecessors(f)
 	tables := make(map[*ir.Block]map[string]bool, len(f.Blocks))
+	var k keyBuf
 	for _, b := range analysis.ReversePostOrder(f) {
 		var seen map[string]bool
 		if ps := preds[b]; len(ps) == 1 && tables[ps[0]] != nil {
@@ -47,41 +46,42 @@ func (p *CheckCSE) Run(f *ir.Func) bool {
 			seen = make(map[string]bool)
 		}
 		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
-			key, ok := checkKey(in)
-			if !ok {
+			if !k.check(in) {
 				continue
 			}
-			if seen[key] {
+			if seen[string(k.b)] {
 				b.Remove(in)
 				p.Removed++
 				changed = true
 				continue
 			}
-			seen[key] = true
+			seen[string(k.b)] = true
 		}
 		tables[b] = seen
 	}
 	return changed
 }
 
-func checkKey(in *ir.Instr) (string, bool) {
+// check builds the key of a safety-check call into k.b and reports whether
+// the instruction is one. The key reads "callee" followed by "|operand" per
+// argument.
+func (k *keyBuf) check(in *ir.Instr) bool {
 	if in.Op != ir.OpCall {
-		return "", false
+		return false
 	}
 	callee := in.Callee()
 	if callee == nil {
-		return "", false
+		return false
 	}
 	switch callee.Name {
 	case rt.SBCheck, rt.LFCheck, rt.LFCheckInv:
 	default:
-		return "", false
+		return false
 	}
-	var sb strings.Builder
-	sb.WriteString(callee.Name)
+	b := append(k.b[:0], callee.Name...)
 	for _, op := range in.Args() {
-		sb.WriteByte('|')
-		sb.WriteString(valueKey(op))
+		b = appendValue(append(b, '|'), op)
 	}
-	return sb.String(), true
+	k.b = b
+	return true
 }

@@ -41,23 +41,19 @@ func (Mem2Reg) Run(f *ir.Func) bool {
 	phiFor := make(map[*ir.Instr]*ir.Instr)
 
 	for _, al := range promotable {
-		// Blocks containing stores to the alloca.
-		defBlocks := make(map[*ir.Block]bool)
+		// Blocks containing stores to the alloca, in use order: the work
+		// list's order fixes the phis' creation order, and with it their
+		// ids and names (the placement itself does not depend on it).
+		var work []*ir.Block
+		inWork := make(map[*ir.Block]bool)
 		for _, u := range users[al] {
-			if u.Op == ir.OpStore {
-				defBlocks[u.Block] = true
+			if u.Op == ir.OpStore && !inWork[u.Block] {
+				inWork[u.Block] = true
+				work = append(work, u.Block)
 			}
 		}
 		// Iterated dominance frontier.
 		placed := make(map[*ir.Block]bool)
-		work := make([]*ir.Block, 0, len(defBlocks))
-		for b := range defBlocks {
-			work = append(work, b)
-		}
-		inWork := make(map[*ir.Block]bool)
-		for _, b := range work {
-			inWork[b] = true
-		}
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]

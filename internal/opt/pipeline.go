@@ -82,91 +82,121 @@ type PipelineStats struct {
 // store-to-load forwarding and access CSE around them (a call that may
 // abort kills the tracked memory state), which is what makes early
 // instrumentation slow (Section 5.5).
+//
+// RunPipeline is RunPrefix followed by RunSuffix, split at PrefixEnd.
 func RunPipeline(m *ir.Module, ep ExtPoint, hook func(*ir.Module), o PipelineOptions) {
-	// stage runs one pipeline stage, recording a span with before/after
-	// module shape when tracing is on. extra, when non-nil, may attach
-	// stage-specific arguments before the span is closed.
-	stage := func(name string, f func() func(*telemetry.Span)) {
-		if !o.Trace.Enabled() {
-			f()
-			return
+	ep = PrefixEnd(ep, hook)
+	RunPrefix(m, ep, o)
+	RunSuffix(m, ep, hook, o)
+}
+
+// PrefixEnd returns the extension point at which RunPipeline(m, ep, hook, o)
+// splits into a prefix and a suffix: ep itself when there is a hook, and
+// EPVectorizerStart, the last point before link-time cleanup, when there is
+// none. The prefix does not depend on the hook, so every configuration with
+// the same split point (and options) can share one run of it.
+func PrefixEnd(ep ExtPoint, hook func(*ir.Module)) ExtPoint {
+	if hook == nil {
+		return EPVectorizerStart
+	}
+	return ep
+}
+
+// RunPrefix runs the pipeline stages that precede extension point ep.
+func RunPrefix(m *ir.Module, ep ExtPoint, o PipelineOptions) {
+	runStages(m, stages[:ep+1], o)
+}
+
+// RunSuffix runs hook (if non-nil) at extension point ep, then the stages
+// that follow it. Only the suffix writes o.Stats.
+func RunSuffix(m *ir.Module, ep ExtPoint, hook func(*ir.Module), o PipelineOptions) {
+	if hook != nil {
+		traceStage(m, o, "hook:"+ep.String(), func() func(*telemetry.Span) { hook(m); return nil })
+	}
+	runStages(m, stages[ep+1:], o)
+}
+
+// stage is one pipeline stage. run may return a function that attaches
+// stage-specific arguments to the stage's trace span.
+type stage struct {
+	name string
+	run  func(m *ir.Module, o PipelineOptions) func(*telemetry.Span)
+}
+
+// stages lists the pipeline in order; the extension point ep sits between
+// stages[ep] and stages[ep+1].
+var stages = [...]stage{
+	// Function-level early simplification (SROA/EarlyCSE analog).
+	{"early-simplify", func(m *ir.Module, _ PipelineOptions) func(*telemetry.Span) {
+		RunSequence(m, SimplifyCFG{}, Mem2Reg{}, ConstFold{}, DCE{})
+		return nil
+	}},
+	// Module optimizations: the inliner runs first (as in LLVM's module
+	// pass manager), then scalar cleanup over the flattened code.
+	{"module-opt", func(m *ir.Module, _ PipelineOptions) func(*telemetry.Span) {
+		inl := &Inline{}
+		inl.RunModule(m)
+		RunSequence(m, Mem2Reg{})
+		RunToFixpoint(m, 4, ConstFold{}, CSE{}, LoadElim{}, DCE{}, SimplifyCFG{})
+		RunSequence(m, LICM{}, ConstFold{}, CSE{}, LoadElim{}, DCE{})
+		// Loop unrolling plus the cleanup that merges the unrolled
+		// accesses. An instrumented loop body contains check calls and is
+		// not unrolled (Section 5.5).
+		RunSequence(m, &Unroll{}, SimplifyCFG{})
+		RunToFixpoint(m, 3, ConstFold{}, CSE{}, LoadElim{}, DCE{}, SimplifyCFG{})
+		RunSequence(m, LICM{}, ConstFold{}, CSE{}, DCE{})
+		return nil
+	}},
+	{"late-scalar", func(m *ir.Module, o PipelineOptions) func(*telemetry.Span) {
+		if o.ObfuscatePtrStores {
+			RunSequence(m, &PtrObfuscate{})
 		}
-		i0, c0 := countInstrsChecks(m)
-		sp := o.Trace.Begin(name, o.TraceTID)
-		extra := f()
-		i1, c1 := countInstrsChecks(m)
-		sp.Arg("instrs_before", i0)
-		sp.Arg("instrs_after", i1)
-		sp.Arg("checks_before", c0)
-		sp.Arg("checks_after", c1)
-		if extra != nil {
-			extra(sp)
-		}
-		sp.End()
-	}
-	plain := func(f func()) func() func(*telemetry.Span) {
-		return func() func(*telemetry.Span) { f(); return nil }
-	}
-	runHook := func(p ExtPoint) {
-		if hook != nil && ep == p {
-			stage("hook:"+p.String(), plain(func() { hook(m) }))
-		}
-	}
-
-	if o.Level > 0 {
-		// Function-level early simplification (SROA/EarlyCSE analog).
-		stage("early-simplify", plain(func() {
-			RunSequence(m, SimplifyCFG{}, Mem2Reg{}, ConstFold{}, DCE{})
-		}))
-	}
-
-	runHook(EPModuleOptimizerEarly)
-
-	if o.Level > 0 {
-		// Module optimizations: the inliner runs first (as in LLVM's
-		// module pass manager), then scalar cleanup over the flattened
-		// code.
-		stage("module-opt", plain(func() {
-			inl := &Inline{}
-			inl.RunModule(m)
-			RunSequence(m, Mem2Reg{})
-			RunToFixpoint(m, 4, ConstFold{}, CSE{}, LoadElim{}, DCE{}, SimplifyCFG{})
-			RunSequence(m, LICM{}, ConstFold{}, CSE{}, LoadElim{}, DCE{})
-			// Loop unrolling plus the cleanup that merges the unrolled
-			// accesses. An instrumented loop body contains check calls and is
-			// not unrolled (Section 5.5).
-			RunSequence(m, &Unroll{}, SimplifyCFG{})
-			RunToFixpoint(m, 3, ConstFold{}, CSE{}, LoadElim{}, DCE{}, SimplifyCFG{})
-			RunSequence(m, LICM{}, ConstFold{}, CSE{}, DCE{})
-		}))
-	}
-
-	runHook(EPScalarOptimizerLate)
-
-	if o.Level > 0 {
-		stage("late-scalar", plain(func() {
-			if o.ObfuscatePtrStores {
-				RunSequence(m, &PtrObfuscate{})
-			}
-			RunToFixpoint(m, 3, ConstFold{}, CSE{}, LoadElim{}, DCE{})
-			RunSequence(m, SimplifyCFG{})
-		}))
-	}
-
-	runHook(EPVectorizerStart)
-
+		RunToFixpoint(m, 3, ConstFold{}, CSE{}, LoadElim{}, DCE{})
+		RunSequence(m, SimplifyCFG{})
+		return nil
+	}},
 	// Link-time cleanup stage (the paper links with LTO enabled).
-	if o.Level > 0 {
-		stage("link-cleanup", func() func(*telemetry.Span) {
-			ccse := &CheckCSE{}
-			RunToFixpoint(m, 3, ConstFold{}, CSE{}, ccse, DCE{})
-			RunSequence(m, SimplifyCFG{})
-			if o.Stats != nil {
-				o.Stats.ChecksRemovedByCompiler += ccse.Removed
-			}
-			return func(sp *telemetry.Span) { sp.Arg("checks_removed_by_compiler", ccse.Removed) }
-		})
+	{"link-cleanup", func(m *ir.Module, o PipelineOptions) func(*telemetry.Span) {
+		ccse := &CheckCSE{}
+		RunToFixpoint(m, 3, ConstFold{}, CSE{}, ccse, DCE{})
+		RunSequence(m, SimplifyCFG{})
+		if o.Stats != nil {
+			o.Stats.ChecksRemovedByCompiler += ccse.Removed
+		}
+		return func(sp *telemetry.Span) { sp.Arg("checks_removed_by_compiler", ccse.Removed) }
+	}},
+}
+
+// runStages runs the given stages unless optimizations are off (level 0).
+func runStages(m *ir.Module, ss []stage, o PipelineOptions) {
+	if o.Level <= 0 {
+		return
 	}
+	for _, s := range ss {
+		traceStage(m, o, s.name, func() func(*telemetry.Span) { return s.run(m, o) })
+	}
+}
+
+// traceStage runs one pipeline step, recording a span with before/after
+// module shape when tracing is on. f may return a function that attaches
+// step-specific arguments before the span is closed.
+func traceStage(m *ir.Module, o PipelineOptions, name string, f func() func(*telemetry.Span)) {
+	if !o.Trace.Enabled() {
+		f()
+		return
+	}
+	i0, c0 := countInstrsChecks(m)
+	sp := o.Trace.Begin(name, o.TraceTID)
+	extra := f()
+	i1, c1 := countInstrsChecks(m)
+	sp.Arg("instrs_before", i0)
+	sp.Arg("instrs_after", i1)
+	sp.Arg("checks_before", c0)
+	sp.Arg("checks_after", c1)
+	if extra != nil {
+		extra(sp)
+	}
+	sp.End()
 }
 
 // countInstrsChecks sizes the module for trace spans: total instructions and
