@@ -130,7 +130,7 @@ func TestDominanceFrontiers(t *testing.T) {
 	// The latch's frontier contains the header (back edge); so does the
 	// header's own frontier (it does not strictly dominate itself).
 	has := func(b *ir.Block, x *ir.Block) bool {
-		for _, y := range df[b] {
+		for _, y := range df.Of(b) {
 			if y == x {
 				return true
 			}

@@ -6,34 +6,35 @@ import "repro/internal/ir"
 // Cooper–Harvey–Kennedy iterative algorithm ("A Simple, Fast Dominance
 // Algorithm"). It answers block- and instruction-level dominance queries.
 type DomTree struct {
-	fn    *ir.Func
-	rpo   []*ir.Block
-	index map[*ir.Block]int // position in rpo
-	idom  []int             // immediate dominator, by rpo index; idom[0] == 0
-	// instrPos caches the position of each instruction inside its block for
-	// same-block dominance queries.
-	instrPos map[*ir.Instr]int
-	children map[*ir.Block][]*ir.Block
+	*order
+	idom []int32 // immediate dominator, by rpo index; idom[0] == 0
+	// preds are the predecessor lists the tree was computed from.
+	preds    BlockLists
+	children BlockLists
+	// pos caches the position of each instruction of a tree block inside
+	// its block, by instruction ID, for same-block dominance queries. It is
+	// built on the first such query.
+	pos []instrPos
+}
+
+// instrPos is a slot of DomTree.pos; in identifies the instruction the
+// slot belongs to.
+type instrPos struct {
+	in  *ir.Instr
+	pos int32
 }
 
 // NewDomTree computes the dominator tree of f. Unreachable blocks are not in
 // the tree; queries involving them return false.
 func NewDomTree(f *ir.Func) *DomTree {
-	rpo := ReversePostOrder(f)
-	dt := &DomTree{
-		fn:    f,
-		rpo:   rpo,
-		index: make(map[*ir.Block]int, len(rpo)),
-		idom:  make([]int, len(rpo)),
-	}
-	for i, b := range rpo {
-		dt.index[b] = i
-	}
+	o := newOrder(f)
+	rpo := o.rpo
+	dt := &DomTree{order: o, idom: make([]int32, len(rpo)), preds: o.preds()}
 	if len(rpo) == 0 {
+		dt.children = BlockLists{o: o}
 		return dt
 	}
 
-	preds := Predecessors(f)
 	const undef = -1
 	for i := range dt.idom {
 		dt.idom[i] = undef
@@ -44,11 +45,10 @@ func NewDomTree(f *ir.Func) *DomTree {
 	for changed {
 		changed = false
 		for i := 1; i < len(rpo); i++ {
-			b := rpo[i]
-			newIdom := undef
-			for _, p := range preds[b] {
-				pi, ok := dt.index[p]
-				if !ok || dt.idom[pi] == undef {
+			newIdom := int32(undef)
+			for _, p := range dt.preds.lists[i] {
+				pi := o.num[p.ID()] - 1
+				if dt.idom[pi] == undef {
 					continue
 				}
 				if newIdom == undef {
@@ -64,24 +64,24 @@ func NewDomTree(f *ir.Func) *DomTree {
 		}
 	}
 
-	dt.children = make(map[*ir.Block][]*ir.Block)
+	// Children in rpo order.
+	lens := make([]int32, len(rpo))
 	for i := 1; i < len(rpo); i++ {
-		if dt.idom[i] != undef {
-			p := rpo[dt.idom[i]]
-			dt.children[p] = append(dt.children[p], rpo[i])
+		if d := dt.idom[i]; d != undef {
+			lens[d]++
 		}
 	}
-
-	dt.instrPos = make(map[*ir.Instr]int, f.NumInstrs())
-	for _, b := range rpo {
-		for pos, in := range b.Instrs {
-			dt.instrPos[in] = pos
+	kids := newLists(lens)
+	for i := 1; i < len(rpo); i++ {
+		if d := dt.idom[i]; d != undef {
+			kids[d] = append(kids[d], rpo[i])
 		}
 	}
+	dt.children = BlockLists{o: o, lists: kids}
 	return dt
 }
 
-func (dt *DomTree) intersect(a, b int) int {
+func (dt *DomTree) intersect(a, b int32) int32 {
 	for a != b {
 		for a > b {
 			a = dt.idom[a]
@@ -96,7 +96,7 @@ func (dt *DomTree) intersect(a, b int) int {
 // IDom returns the immediate dominator of b, or nil for the entry block and
 // unreachable blocks.
 func (dt *DomTree) IDom(b *ir.Block) *ir.Block {
-	i, ok := dt.index[b]
+	i, ok := dt.index(b)
 	if !ok || i == 0 {
 		return nil
 	}
@@ -104,12 +104,16 @@ func (dt *DomTree) IDom(b *ir.Block) *ir.Block {
 }
 
 // Children returns the blocks immediately dominated by b.
-func (dt *DomTree) Children(b *ir.Block) []*ir.Block { return dt.children[b] }
+func (dt *DomTree) Children(b *ir.Block) []*ir.Block { return dt.children.Of(b) }
+
+// Preds returns b's predecessors among the tree's blocks, as they were when
+// the tree was built.
+func (dt *DomTree) Preds(b *ir.Block) []*ir.Block { return dt.preds.Of(b) }
 
 // Dominates reports whether block a dominates block b (reflexively).
 func (dt *DomTree) Dominates(a, b *ir.Block) bool {
-	ai, aok := dt.index[a]
-	bi, bok := dt.index[b]
+	ai, aok := dt.index(a)
+	bi, bok := dt.index(b)
 	if !aok || !bok {
 		return false
 	}
@@ -132,9 +136,50 @@ func (dt *DomTree) InstrDominates(a, b *ir.Instr) bool {
 		return false
 	}
 	if a.Block == b.Block {
-		return dt.instrPos[a] < dt.instrPos[b]
+		return dt.precedes(a, b)
 	}
 	return dt.StrictlyDominates(a.Block, b.Block)
+}
+
+// precedes reports whether a comes before b in their common block, and
+// false when that block is not in the tree. Positions are those of the first same-block query;
+// an instruction missing from them (created later, or sharing its ID with
+// another instruction) is located by scanning the block.
+func (dt *DomTree) precedes(a, b *ir.Instr) bool {
+	if dt.pos == nil {
+		dt.pos = make([]instrPos, dt.fn.MaxID())
+		for _, blk := range dt.rpo {
+			for p, x := range blk.Instrs {
+				if id := x.ID(); id < len(dt.pos) {
+					dt.pos[id] = instrPos{x, int32(p)}
+				}
+			}
+		}
+	}
+	pa, aok := dt.lookupPos(a)
+	pb, bok := dt.lookupPos(b)
+	if aok && bok {
+		return pa < pb
+	}
+	if a.Block == nil {
+		return false
+	}
+	if _, ok := dt.index(a.Block); !ok {
+		return false
+	}
+	for _, x := range a.Block.Instrs {
+		if x == a || x == b {
+			return x == a
+		}
+	}
+	return false
+}
+
+func (dt *DomTree) lookupPos(in *ir.Instr) (int32, bool) {
+	if id := in.ID(); id < len(dt.pos) && dt.pos[id].in == in {
+		return dt.pos[id].pos, true
+	}
+	return 0, false
 }
 
 // ValueDominates reports whether the definition of value v dominates
@@ -155,29 +200,22 @@ func (dt *DomTree) Blocks() []*ir.Block { return dt.rpo }
 // block (Cooper–Harvey–Kennedy): DF(a) contains b iff a dominates a
 // predecessor of b but not b strictly. mem2reg places phis at iterated
 // frontiers of store blocks.
-func (dt *DomTree) DominanceFrontiers() map[*ir.Block][]*ir.Block {
-	df := make(map[*ir.Block][]*ir.Block, len(dt.rpo))
-	preds := Predecessors(dt.fn)
-	for _, b := range dt.rpo {
-		ps := preds[b]
+func (dt *DomTree) DominanceFrontiers() BlockLists {
+	df := make([][]*ir.Block, len(dt.rpo))
+	for bi, b := range dt.rpo {
+		ps := dt.preds.lists[bi]
 		if len(ps) < 2 {
 			continue
 		}
-		bi := dt.index[b]
 		for _, p := range ps {
-			pi, ok := dt.index[p]
-			if !ok {
-				continue
-			}
-			runner := pi
+			runner := dt.num[p.ID()] - 1
 			for runner != dt.idom[bi] {
-				rb := dt.rpo[runner]
-				df[rb] = append(df[rb], b)
+				df[runner] = append(df[runner], b)
 				runner = dt.idom[runner]
 			}
 		}
 	}
-	return df
+	return BlockLists{o: dt.order, lists: df}
 }
 
 // VerifySSA checks that every instruction operand's definition dominates its

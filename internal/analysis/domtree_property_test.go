@@ -62,7 +62,7 @@ func naiveDominators(f *ir.Func) map[*ir.Block]map[*ir.Block]bool {
 				continue
 			}
 			var inter map[*ir.Block]bool
-			for _, p := range preds[b] {
+			for _, p := range preds.Of(b) {
 				pd, ok := dom[p]
 				if !ok {
 					continue // unreachable pred

@@ -50,8 +50,6 @@ func FindLoops(f *ir.Func, dt *DomTree) *LoopInfo {
 		ByHeader:  make(map[*ir.Block]*Loop),
 		innermost: make(map[*ir.Block]*Loop),
 	}
-	preds := Predecessors(f)
-
 	for _, b := range dt.Blocks() {
 		for _, s := range b.Succs() {
 			if !dt.Dominates(s, b) {
@@ -74,7 +72,7 @@ func FindLoops(f *ir.Func, dt *DomTree) *LoopInfo {
 				}
 				loop.Blocks[x] = true
 				loop.Body = append(loop.Body, x)
-				work = append(work, preds[x]...)
+				work = append(work, dt.Preds(x)...)
 			}
 		}
 	}

@@ -113,3 +113,12 @@ func (b *Block) Phis() []*Instr {
 	}
 	return phis
 }
+
+// Truncate shortens the block to its first n instructions. A pass that
+// removes instructions while walking a block compacts the survivors into
+// b.Instrs[:n] (clearing each removed instruction's Block) and truncates
+// once, instead of calling Remove, which shifts the tail, per instruction.
+func (b *Block) Truncate(n int) {
+	clear(b.Instrs[n:])
+	b.Instrs = b.Instrs[:n]
+}

@@ -36,7 +36,7 @@ func (p *CheckCSE) Run(f *ir.Func) bool {
 	var k keyBuf
 	for _, b := range analysis.ReversePostOrder(f) {
 		var seen map[string]bool
-		if ps := preds[b]; len(ps) == 1 && tables[ps[0]] != nil {
+		if ps := preds.Of(b); len(ps) == 1 && tables[ps[0]] != nil {
 			// Single-pred extension: inherit the predecessor's checks.
 			seen = make(map[string]bool, len(tables[ps[0]]))
 			for k := range tables[ps[0]] {

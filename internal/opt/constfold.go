@@ -13,14 +13,20 @@ func (ConstFold) Name() string { return "constfold" }
 // Run executes the pass.
 func (ConstFold) Run(f *ir.Func) bool {
 	changed := false
+	rw := ir.NewReplacer(f)
 	for _, b := range f.Blocks {
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		kept := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			rw.ResolveOperands(in)
 			if v := foldInstr(in); v != nil {
-				ir.ReplaceAllUses(f, in, v)
-				b.Remove(in)
+				rw.Replace(in, v)
+				in.Block = nil
 				changed = true
+				continue
 			}
+			kept = append(kept, in)
 		}
+		b.Truncate(len(kept))
 		if t := b.Terminator(); t != nil && t.Op == ir.OpCondBr {
 			if c, ok := t.Operands[0].(*ir.ConstInt); ok {
 				then, els := t.Succs[0], t.Succs[1]
@@ -38,6 +44,7 @@ func (ConstFold) Run(f *ir.Func) bool {
 			}
 		}
 	}
+	rw.Apply()
 	return changed
 }
 

@@ -13,46 +13,125 @@ import (
 // instructions (arithmetic, comparisons, casts, geps, selects). Calls are
 // never merged — even pure runtime calls read state that may change between
 // call sites (e.g. the SoftBound shadow stack).
-type CSE struct{}
+//
+// The zero CSE allocates its table per function; one from NewCSE keeps the
+// table's storage from run to run, which is how the pipeline uses it.
+type CSE struct{ t *scopedTable }
+
+// NewCSE returns a CSE that reuses its table across runs. Its runs must
+// not overlap.
+func NewCSE() CSE { return CSE{t: new(scopedTable)} }
 
 // Name returns the pass name.
 func (CSE) Name() string { return "cse" }
 
 // Run executes the pass.
-func (CSE) Run(f *ir.Func) bool {
+func (c CSE) Run(f *ir.Func) bool {
 	if f.Entry() == nil {
 		return false
 	}
-	dt := analysis.NewDomTree(f)
-	changed := false
-	var k keyBuf
-
-	var walk func(b *ir.Block, table map[string]*ir.Instr)
-	walk = func(b *ir.Block, table map[string]*ir.Instr) {
-		var added []string
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
-			if !k.cse(in) {
-				continue
-			}
-			if prev, have := table[string(k.b)]; have {
-				ir.ReplaceAllUses(f, in, prev)
-				b.Remove(in)
-				changed = true
-				continue
-			}
-			key := string(k.b)
-			table[key] = in
-			added = append(added, key)
+	// The table never holds more entries than the function has CSE-able
+	// instructions, so sizing it for them up front avoids every regrowth.
+	n := 0
+	f.Instrs(func(in *ir.Instr) bool {
+		if cseable(in) {
+			n++
 		}
-		for _, c := range dt.Children(b) {
-			walk(c, table)
-		}
-		for _, key := range added {
-			delete(table, key)
-		}
+		return true
+	})
+	if n == 0 {
+		return false
 	}
-	walk(f.Entry(), make(map[string]*ir.Instr))
+	table := c.t
+	if table == nil {
+		table = new(scopedTable)
+	}
+	table.reserve(n)
+	dt := analysis.NewDomTree(f)
+	rw := ir.NewReplacer(f)
+	var k keyBuf
+	changed := false
+
+	var walk func(b *ir.Block)
+	walk = func(b *ir.Block) {
+		nk, na := table.mark()
+		kept := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			rw.ResolveOperands(in)
+			if k.cse(in) {
+				if prev, have := table.m[string(k.b)]; have {
+					rw.Replace(in, prev)
+					in.Block = nil
+					changed = true
+					continue
+				}
+				table.insert(k.b, in)
+			}
+			kept = append(kept, in)
+		}
+		b.Truncate(len(kept))
+		for _, c := range dt.Children(b) {
+			walk(c)
+		}
+		table.release(nk, na)
+	}
+	walk(f.Entry())
+	rw.Apply()
 	return changed
+}
+
+// scopedTable is CSE's dominator-scoped table of available expressions. A
+// key inserted while visiting a block is deleted when the walk leaves the
+// block's subtree. The keys' bytes live on one byte stack, cut back with
+// the scope, so an insert does not allocate a string of its own.
+//
+// This is safe because nothing reads a key after its scope ends: the stack
+// bytes beyond a released mark backed only keys that were deleted from the
+// map and dropped from keys, and when append moves the stack to a larger
+// array, the earlier keys keep the old array, which is never written again.
+type scopedTable struct {
+	m     map[string]*ir.Instr
+	keys  []string // inserted keys, innermost scope last
+	arena []byte   // the keys' bytes, in insertion order
+}
+
+// keyBytes is the expected length of a key, for sizing the byte stack.
+const keyBytes = 48
+
+// reserve prepares an empty table for up to n keys at once; storage kept
+// from an earlier run is reused.
+func (t *scopedTable) reserve(n int) {
+	if t.m == nil {
+		t.m = make(map[string]*ir.Instr, n)
+	}
+	if cap(t.keys) < n {
+		t.keys = make([]string, 0, n)
+	}
+	if cap(t.arena) < n*keyBytes {
+		t.arena = make([]byte, 0, n*keyBytes)
+	}
+}
+
+// insert adds key → in; the table keeps its own copy of the key bytes.
+func (t *scopedTable) insert(key []byte, in *ir.Instr) {
+	start := len(t.arena)
+	t.arena = append(t.arena, key...)
+	s := unsafe.String(&t.arena[start], len(key))
+	t.m[s] = in
+	t.keys = append(t.keys, s)
+}
+
+// mark returns the table's state at the start of a scope, for release.
+func (t *scopedTable) mark() (keys, arena int) { return len(t.keys), len(t.arena) }
+
+// release deletes every key inserted since the mark.
+func (t *scopedTable) release(keys, arena int) {
+	for _, k := range t.keys[keys:] {
+		delete(t.m, k)
+	}
+	clear(t.keys[keys:])
+	t.keys = t.keys[:keys]
+	t.arena = t.arena[:arena]
 }
 
 // keyBuf builds the structural keys of CSE and CheckCSE in a reused byte
@@ -66,11 +145,7 @@ type keyBuf struct {
 // whether the instruction has one. The key reads
 // "op/pred/type[srctype]" followed by "|operand" per operand.
 func (k *keyBuf) cse(in *ir.Instr) bool {
-	switch {
-	case in.IsBinaryOp(), in.Op == ir.OpICmp, in.Op == ir.OpFCmp,
-		in.Op == ir.OpGEP, in.Op == ir.OpSelect:
-	case in.IsCast():
-	default:
+	if !cseable(in) {
 		return false
 	}
 	b := strconv.AppendInt(k.b[:0], int64(in.Op), 10)
@@ -86,6 +161,13 @@ func (k *keyBuf) cse(in *ir.Instr) bool {
 	}
 	k.b = b
 	return true
+}
+
+// cseable reports whether CSE may merge the instruction with an identical
+// one.
+func cseable(in *ir.Instr) bool {
+	return in.IsBinaryOp() || in.Op == ir.OpICmp || in.Op == ir.OpFCmp ||
+		in.Op == ir.OpGEP || in.Op == ir.OpSelect || in.IsCast()
 }
 
 // appendValue appends the key of an operand: instructions and undefs by

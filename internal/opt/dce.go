@@ -6,6 +6,12 @@ import "repro/internal/ir"
 // effects, including unused allocas and unused calls to pure functions
 // (e.g. SoftBound metadata loads). Checks and metadata stores are calls to
 // non-pure functions and are never removed.
+//
+// It counts the uses of every instruction once, by instruction ID, and then
+// works off a list of unused removable instructions: removing one releases
+// its operands, which join the list when their count drops to zero. The
+// removed set is the one that repeated whole-function sweeps reach, since
+// removability only grows as uses disappear.
 type DCE struct{}
 
 // Name returns the pass name.
@@ -13,32 +19,67 @@ func (DCE) Name() string { return "dce" }
 
 // Run executes the pass.
 func (DCE) Run(f *ir.Func) bool {
-	changed := false
-	for {
-		users := ir.ComputeUsers(f)
-		var dead []*ir.Instr
-		f.Instrs(func(in *ir.Instr) bool {
-			if in.IsTerminator() {
-				return true
-			}
-			if users.HasUses(in) {
-				return true
-			}
-			if in.Op == ir.OpAlloca {
-				dead = append(dead, in)
-				return true
-			}
-			if !in.HasSideEffects() {
-				dead = append(dead, in)
-			}
-			return true
-		})
-		if len(dead) == 0 {
-			return changed
+	// at[id] is the live non-terminator with that id; uses[id] counts its
+	// operand slots across the function. Live values have distinct ids (the
+	// VM's register file relies on it); an instruction that shares its id
+	// is simply never removed.
+	n := f.MaxID()
+	at := make([]*ir.Instr, n)
+	uses := make([]int32, n)
+	f.Instrs(func(in *ir.Instr) bool {
+		if id := in.ID(); id < n && !in.IsTerminator() {
+			at[id] = in
 		}
-		for _, in := range dead {
-			in.Block.Remove(in)
+		return true
+	})
+	f.Instrs(func(in *ir.Instr) bool {
+		for _, op := range in.Operands {
+			if x, ok := op.(*ir.Instr); ok && x.ID() < n && at[x.ID()] == x {
+				uses[x.ID()]++
+			}
 		}
-		changed = true
+		return true
+	})
+	var work []*ir.Instr
+	f.Instrs(func(in *ir.Instr) bool {
+		if id := in.ID(); id < n && at[id] == in && uses[id] == 0 && removable(in) {
+			work = append(work, in)
+		}
+		return true
+	})
+	if len(work) == 0 {
+		return false
 	}
+	for len(work) > 0 {
+		in := work[len(work)-1]
+		work = work[:len(work)-1]
+		at[in.ID()] = nil
+		in.Block = nil
+		for _, op := range in.Operands {
+			x, ok := op.(*ir.Instr)
+			if !ok || x.ID() >= n || at[x.ID()] != x {
+				continue
+			}
+			if uses[x.ID()]--; uses[x.ID()] == 0 && removable(x) {
+				work = append(work, x)
+			}
+		}
+	}
+	for _, b := range f.Blocks {
+		kept := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			if in.Block == nil {
+				continue
+			}
+			kept = append(kept, in)
+		}
+		b.Truncate(len(kept))
+	}
+	return true
+}
+
+// removable reports whether an unused instruction may be deleted
+// (terminators have side effects).
+func removable(in *ir.Instr) bool {
+	return in.Op == ir.OpAlloca || !in.HasSideEffects()
 }

@@ -50,6 +50,8 @@ func (p *Inline) Run(f *ir.Func) bool {
 
 func (p *Inline) runOnFunc(caller *ir.Func) bool {
 	changed := false
+	rw := ir.NewReplacer(caller)
+	defer rw.Apply()
 	for {
 		var site *ir.Instr
 		caller.Instrs(func(in *ir.Instr) bool {
@@ -65,7 +67,7 @@ func (p *Inline) runOnFunc(caller *ir.Func) bool {
 		if site == nil {
 			return changed
 		}
-		inlineCall(caller, site)
+		inlineCall(caller, site, &rw)
 		p.Inlined++
 		changed = true
 	}
@@ -133,9 +135,11 @@ func reachesFunc(from, target *ir.Func, seen map[*ir.Func]bool) bool {
 	return found
 }
 
-// inlineCall splices a clone of the callee body in place of the call.
-func inlineCall(caller *ir.Func, call *ir.Instr) {
+// inlineCall splices a clone of the callee body in place of the call. The
+// call's uses are replaced through rw; its arguments are read through it.
+func inlineCall(caller *ir.Func, call *ir.Instr, rw *ir.Replacer) {
 	callee := call.Callee()
+	rw.ResolveOperands(call)
 	args := append([]ir.Value(nil), call.Args()...)
 
 	// Split the block at the call: everything after the call moves to a
@@ -274,7 +278,7 @@ func inlineCall(caller *ir.Func, call *ir.Instr) {
 			}
 			repl = phi
 		}
-		ir.ReplaceAllUses(caller, call, repl)
+		rw.Replace(call, repl)
 	}
 	// The call itself is gone; cont holds the rest of the original block.
 	// (The call was removed from callBlock when the block was split.)

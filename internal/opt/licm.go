@@ -83,7 +83,7 @@ func loopIsReadOnly(l *analysis.Loop) bool {
 // executed speculatively in the preheader: any address rooted in a global
 // or an alloca (gep/bitcast chains included).
 func speculatableAddress(v ir.Value) bool {
-	return rootObject(v) != nil
+	return rootObject(nil, v) != nil
 }
 
 // preheader returns the unique predecessor of the loop header outside the

@@ -18,19 +18,23 @@ func (LoadElim) Name() string { return "loadelim" }
 // Run executes the pass.
 func (LoadElim) Run(f *ir.Func) bool {
 	changed := false
+	rw := ir.NewReplacer(f)
+	type slot struct {
+		val ir.Value
+		ty  *ir.Type
+	}
+	avail := make(map[ir.Value]slot) // pointer value -> known content
 	for _, b := range f.Blocks {
-		type slot struct {
-			val ir.Value
-			ty  *ir.Type
-		}
-		avail := make(map[ir.Value]slot) // pointer value -> known content
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		clear(avail)
+		kept := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			rw.ResolveOperands(in)
 			switch in.Op {
 			case ir.OpLoad:
 				ptr := in.Operands[0]
 				if s, ok := avail[ptr]; ok && s.ty.Equal(in.Ty) {
-					ir.ReplaceAllUses(f, in, s.val)
-					b.Remove(in)
+					rw.Replace(in, s.val)
+					in.Block = nil
 					changed = true
 					continue
 				}
@@ -42,30 +46,31 @@ func (LoadElim) Run(f *ir.Func) bool {
 				// (or distinct constant-index geps of distinct globals)
 				// cannot alias; everything else is dropped conservatively.
 				for k := range avail {
-					if k != ptr && mayAlias(k, ptr) {
+					if k != ptr && mayAlias(&rw, k, ptr) {
 						delete(avail, k)
 					}
 				}
 				avail[ptr] = slot{val: v, ty: v.Type()}
 			case ir.OpCall:
 				callee := in.Callee()
-				if callee != nil && callee.Pure {
-					continue
-				}
-				for k := range avail {
-					delete(avail, k)
+				if callee == nil || !callee.Pure {
+					clear(avail)
 				}
 			}
+			kept = append(kept, in)
 		}
+		b.Truncate(len(kept))
 	}
+	rw.Apply()
 	return changed
 }
 
 // rootObject returns the distinct allocated object a pointer value is
-// statically known to point into, or nil.
-func rootObject(v ir.Value) ir.Value {
+// statically known to point into, or nil. It reads operands through the
+// pass's pending replacements.
+func rootObject(rw *ir.Replacer, v ir.Value) ir.Value {
 	for {
-		switch x := v.(type) {
+		switch x := rw.Resolve(v).(type) {
 		case *ir.Global:
 			return x
 		case *ir.Instr:
@@ -86,8 +91,8 @@ func rootObject(v ir.Value) ir.Value {
 // mayAlias reports whether two pointer values may address overlapping
 // memory. It only disambiguates pointers rooted in distinct globals or
 // allocas; everything else may alias.
-func mayAlias(a, b ir.Value) bool {
-	ra, rb := rootObject(a), rootObject(b)
+func mayAlias(rw *ir.Replacer, a, b ir.Value) bool {
+	ra, rb := rootObject(rw, a), rootObject(rw, b)
 	if ra == nil || rb == nil {
 		return true
 	}

@@ -21,118 +21,146 @@ func (Mem2Reg) Run(f *ir.Func) bool {
 	if f.Entry() == nil {
 		return false
 	}
-	var promotable []*ir.Instr
-	users := ir.ComputeUsers(f)
+	// Scalar allocas are the candidates; only their users are collected.
+	var cands []*ir.Instr
 	f.Instrs(func(in *ir.Instr) bool {
-		if in.Op == ir.OpAlloca && isPromotable(in, users) {
-			promotable = append(promotable, in)
+		if in.Op == ir.OpAlloca && promotableType(in) {
+			cands = append(cands, in)
 		}
 		return true
 	})
+	if len(cands) == 0 {
+		return false
+	}
+	idx := newAllocaIndex(f, cands)
+	users := make([][]*ir.Instr, len(cands))
+	f.Instrs(func(in *ir.Instr) bool {
+		for _, op := range in.Operands {
+			if i := idx.of(op); i >= 0 {
+				users[i] = append(users[i], in)
+			}
+		}
+		return true
+	})
+	var promotable []*ir.Instr
+	var promUsers [][]*ir.Instr
+	for i, al := range cands {
+		if isPromotable(al, users[i]) {
+			promotable = append(promotable, al)
+			promUsers = append(promUsers, users[i])
+		}
+	}
 	if len(promotable) == 0 {
 		return false
 	}
+	idx = newAllocaIndex(f, promotable)
 
 	dt := analysis.NewDomTree(f)
 	df := dt.DominanceFrontiers()
 	bld := ir.NewBuilder(f)
 
-	// phiFor maps inserted phis to the alloca they merge.
-	phiFor := make(map[*ir.Instr]*ir.Instr)
+	// phiFor maps inserted phis to the index of the alloca they merge.
+	phiFor := make(map[*ir.Instr]int)
 
-	for _, al := range promotable {
+	// inWork and placed mark blocks, by block ID, with 1 + the index of the
+	// alloca being placed.
+	inWork := make([]int32, f.MaxID())
+	placed := make([]int32, f.MaxID())
+	for ai, al := range promotable {
+		mark := int32(ai + 1)
 		// Blocks containing stores to the alloca, in use order: the work
 		// list's order fixes the phis' creation order, and with it their
 		// ids and names (the placement itself does not depend on it).
 		var work []*ir.Block
-		inWork := make(map[*ir.Block]bool)
-		for _, u := range users[al] {
-			if u.Op == ir.OpStore && !inWork[u.Block] {
-				inWork[u.Block] = true
+		for _, u := range promUsers[ai] {
+			if u.Op == ir.OpStore && inWork[u.Block.ID()] != mark {
+				inWork[u.Block.ID()] = mark
 				work = append(work, u.Block)
 			}
 		}
 		// Iterated dominance frontier.
-		placed := make(map[*ir.Block]bool)
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, fb := range df[b] {
-				if placed[fb] {
+			for _, fb := range df.Of(b) {
+				if placed[fb.ID()] == mark {
 					continue
 				}
-				placed[fb] = true
+				placed[fb.ID()] = mark
 				bld.SetBlock(fb)
 				phi := bld.Phi(al.AllocTy)
-				phiFor[phi] = al
-				if !inWork[fb] {
-					inWork[fb] = true
+				phiFor[phi] = ai
+				if inWork[fb.ID()] != mark {
+					inWork[fb.ID()] = mark
 					work = append(work, fb)
 				}
 			}
 		}
 	}
 
-	// Renaming walk over the dominator tree.
-	cur := make(map[*ir.Instr]ir.Value) // alloca -> current value
-	isProm := make(map[*ir.Instr]bool, len(promotable))
-	for _, al := range promotable {
-		isProm[al] = true
+	// Renaming walk over the dominator tree. cur holds each alloca's
+	// current value (nil: none yet); loads are replaced through rw.
+	cur := make([]ir.Value, len(promotable))
+	rw := ir.NewReplacer(f)
+	curOrUndef := func(ai int) ir.Value {
+		if v := cur[ai]; v != nil {
+			return v
+		}
+		return ir.NewUndef(promotable[ai].AllocTy)
 	}
 
 	type saved struct {
-		al   *ir.Instr
+		ai   int
 		prev ir.Value
-		had  bool
 	}
 
 	var rename func(b *ir.Block)
 	rename = func(b *ir.Block) {
 		var undo []saved
-		set := func(al *ir.Instr, v ir.Value) {
-			prev, had := cur[al]
-			undo = append(undo, saved{al, prev, had})
-			cur[al] = v
+		set := func(ai int, v ir.Value) {
+			undo = append(undo, saved{ai, cur[ai]})
+			cur[ai] = v
 		}
 
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		kept := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			rw.ResolveOperands(in)
 			switch in.Op {
 			case ir.OpPhi:
-				if al, ok := phiFor[in]; ok {
-					set(al, in)
+				if ai, ok := phiFor[in]; ok {
+					set(ai, in)
 				}
 			case ir.OpStore:
-				if al, ok := in.Operands[1].(*ir.Instr); ok && isProm[al] {
-					set(al, in.Operands[0])
-					b.Remove(in)
+				if ai := idx.of(in.Operands[1]); ai >= 0 {
+					set(ai, in.Operands[0])
+					in.Block = nil
+					continue
 				}
 			case ir.OpLoad:
-				if al, ok := in.Operands[0].(*ir.Instr); ok && isProm[al] {
-					v, have := cur[al]
-					if !have {
-						v = ir.NewUndef(al.AllocTy)
-					}
-					ir.ReplaceAllUses(f, in, v)
-					b.Remove(in)
+				if ai := idx.of(in.Operands[0]); ai >= 0 {
+					rw.Replace(in, curOrUndef(ai))
+					in.Block = nil
+					continue
 				}
 			}
+			kept = append(kept, in)
 		}
+		b.Truncate(len(kept))
 
 		// Fill phi operands of successors.
 		for _, s := range b.Succs() {
-			for _, phi := range s.Phis() {
-				al, ok := phiFor[phi]
+			for _, phi := range s.Instrs {
+				if phi.Op != ir.OpPhi {
+					break
+				}
+				ai, ok := phiFor[phi]
 				if !ok {
 					continue
 				}
 				if phi.PhiIncomingFor(b) != nil {
 					continue
 				}
-				v, have := cur[al]
-				if !have {
-					v = ir.NewUndef(al.AllocTy)
-				}
-				phi.AddPhiIncoming(v, b)
+				phi.AddPhiIncoming(curOrUndef(ai), b)
 			}
 		}
 
@@ -140,19 +168,27 @@ func (Mem2Reg) Run(f *ir.Func) bool {
 			rename(c)
 		}
 		for i := len(undo) - 1; i >= 0; i-- {
-			u := undo[i]
-			if u.had {
-				cur[u.al] = u.prev
-			} else {
-				delete(cur, u.al)
-			}
+			cur[undo[i].ai] = undo[i].prev
 		}
 	}
 	rename(f.Entry())
 
 	for _, al := range promotable {
-		al.Block.Remove(al)
+		b := al.Block
+		if b == nil {
+			continue
+		}
+		kept := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			if idx.of(in) >= 0 {
+				in.Block = nil
+				continue
+			}
+			kept = append(kept, in)
+		}
+		b.Truncate(len(kept))
 	}
+	rw.Apply()
 	// Phis placed in blocks with duplicate-free preds may still miss edges
 	// from unreachable predecessors; those blocks are cleaned by
 	// SimplifyCFG. Remove trivially dead phis (no uses) now.
@@ -160,20 +196,49 @@ func (Mem2Reg) Run(f *ir.Func) bool {
 	return true
 }
 
-// isPromotable reports whether an alloca can be promoted: a scalar,
-// non-array alloca whose only uses are loads of the full value and stores
-// where it is the address (never the stored value, never a gep/cast/call
-// operand).
-func isPromotable(al *ir.Instr, users ir.Users) bool {
+// allocaIndex finds an alloca's position in a list, by instruction ID.
+type allocaIndex struct {
+	list []*ir.Instr
+	slot []int32 // by instruction ID: 1 + position in list, 0 for none
+}
+
+func newAllocaIndex(f *ir.Func, list []*ir.Instr) allocaIndex {
+	x := allocaIndex{list: list, slot: make([]int32, f.MaxID())}
+	for i, al := range list {
+		x.slot[al.ID()] = int32(i + 1)
+	}
+	return x
+}
+
+// of returns v's position in the list, or -1.
+func (x allocaIndex) of(v ir.Value) int {
+	if in, ok := v.(*ir.Instr); ok && in.Op == ir.OpAlloca && in.ID() < len(x.slot) {
+		if i := int(x.slot[in.ID()]) - 1; i >= 0 && x.list[i] == in {
+			return i
+		}
+	}
+	return -1
+}
+
+// promotableType reports whether an alloca's shape allows promotion: a
+// single (non-array) integer, float or pointer.
+func promotableType(al *ir.Instr) bool {
 	if len(al.Operands) != 0 {
 		return false // array alloca
 	}
 	switch al.AllocTy.Kind {
 	case ir.IntKind, ir.FloatKind, ir.PointerKind:
-	default:
-		return false
+		return true
 	}
-	for _, u := range users[al] {
+	return false
+}
+
+// isPromotable reports whether an alloca of promotable type, with the given
+// users, can be promoted: its only uses are loads of the full value and
+// stores where it is the address (never the stored value, never a
+// gep/cast/call operand).
+func isPromotable(al *ir.Instr, users []*ir.Instr) bool {
+	for _, u := range users {
 		switch u.Op {
 		case ir.OpLoad:
 			// ok

@@ -136,29 +136,30 @@ var stages = [...]stage{
 	{"module-opt", func(m *ir.Module, _ PipelineOptions) func(*telemetry.Span) {
 		inl := &Inline{}
 		inl.RunModule(m)
+		cse := NewCSE()
 		RunSequence(m, Mem2Reg{})
-		RunToFixpoint(m, 4, ConstFold{}, CSE{}, LoadElim{}, DCE{}, SimplifyCFG{})
-		RunSequence(m, LICM{}, ConstFold{}, CSE{}, LoadElim{}, DCE{})
+		RunToFixpoint(m, 4, ConstFold{}, cse, LoadElim{}, DCE{}, SimplifyCFG{})
+		RunSequence(m, LICM{}, ConstFold{}, cse, LoadElim{}, DCE{})
 		// Loop unrolling plus the cleanup that merges the unrolled
 		// accesses. An instrumented loop body contains check calls and is
 		// not unrolled (Section 5.5).
 		RunSequence(m, &Unroll{}, SimplifyCFG{})
-		RunToFixpoint(m, 3, ConstFold{}, CSE{}, LoadElim{}, DCE{}, SimplifyCFG{})
-		RunSequence(m, LICM{}, ConstFold{}, CSE{}, DCE{})
+		RunToFixpoint(m, 3, ConstFold{}, cse, LoadElim{}, DCE{}, SimplifyCFG{})
+		RunSequence(m, LICM{}, ConstFold{}, cse, DCE{})
 		return nil
 	}},
 	{"late-scalar", func(m *ir.Module, o PipelineOptions) func(*telemetry.Span) {
 		if o.ObfuscatePtrStores {
 			RunSequence(m, &PtrObfuscate{})
 		}
-		RunToFixpoint(m, 3, ConstFold{}, CSE{}, LoadElim{}, DCE{})
+		RunToFixpoint(m, 3, ConstFold{}, NewCSE(), LoadElim{}, DCE{})
 		RunSequence(m, SimplifyCFG{})
 		return nil
 	}},
 	// Link-time cleanup stage (the paper links with LTO enabled).
 	{"link-cleanup", func(m *ir.Module, o PipelineOptions) func(*telemetry.Span) {
 		ccse := &CheckCSE{}
-		RunToFixpoint(m, 3, ConstFold{}, CSE{}, ccse, DCE{})
+		RunToFixpoint(m, 3, ConstFold{}, NewCSE(), ccse, DCE{})
 		RunSequence(m, SimplifyCFG{})
 		if o.Stats != nil {
 			o.Stats.ChecksRemovedByCompiler += ccse.Removed

@@ -19,11 +19,13 @@ func (SimplifyCFG) Run(f *ir.Func) bool {
 		return false
 	}
 	changed := false
+	rw := ir.NewReplacer(f)
 	for {
 		c := removeUnreachable(f)
-		c = mergeBlocks(f) || c
+		c = mergeBlocks(f, &rw) || c
 		c = threadEmptyBlocks(f) || c
 		if !c {
+			rw.Apply()
 			return changed
 		}
 		changed = true
@@ -31,13 +33,17 @@ func (SimplifyCFG) Run(f *ir.Func) bool {
 }
 
 func removeUnreachable(f *ir.Func) bool {
-	reachable := make(map[*ir.Block]bool)
-	for _, b := range analysis.ReversePostOrder(f) {
-		reachable[b] = true
+	rpo := analysis.ReversePostOrder(f)
+	if len(rpo) == len(f.Blocks) {
+		return false
+	}
+	reachable := make([]bool, f.MaxID())
+	for _, b := range rpo {
+		reachable[b.ID()] = true
 	}
 	var dead []*ir.Block
 	for _, b := range f.Blocks {
-		if !reachable[b] {
+		if !reachable[b.ID()] {
 			dead = append(dead, b)
 		}
 	}
@@ -47,7 +53,7 @@ func removeUnreachable(f *ir.Func) bool {
 	for _, b := range dead {
 		// Remove phi edges from dead predecessors.
 		for _, s := range b.Succs() {
-			if reachable[s] {
+			if reachable[s.ID()] {
 				removePhiEdge(s, b)
 			}
 		}
@@ -59,8 +65,9 @@ func removeUnreachable(f *ir.Func) bool {
 }
 
 // mergeBlocks merges b into its single predecessor p when p ends in an
-// unconditional branch to b and b is p's only successor target.
-func mergeBlocks(f *ir.Func) bool {
+// unconditional branch to b and b is p's only successor target. The uses of
+// b's (single-incoming) phis are replaced through rw.
+func mergeBlocks(f *ir.Func, rw *ir.Replacer) bool {
 	changed := false
 	for {
 		merged := false
@@ -68,11 +75,10 @@ func mergeBlocks(f *ir.Func) bool {
 			if b == f.Entry() {
 				continue
 			}
-			preds := ir.Preds(b)
-			if len(preds) != 1 {
+			p := singlePred(b)
+			if p == nil {
 				continue
 			}
-			p := preds[0]
 			t := p.Terminator()
 			if t == nil || t.Op != ir.OpBr || t.Succs[0] != b {
 				continue
@@ -80,7 +86,7 @@ func mergeBlocks(f *ir.Func) bool {
 			if len(b.Phis()) > 0 {
 				// Single-pred phis are trivial; fold them first.
 				for _, phi := range b.Phis() {
-					ir.ReplaceAllUses(f, phi, phi.Operands[0])
+					rw.Replace(phi, phi.Operands[0])
 					b.Remove(phi)
 				}
 			}
@@ -110,6 +116,24 @@ func mergeBlocks(f *ir.Func) bool {
 			return changed
 		}
 	}
+}
+
+// singlePred returns b's only predecessor, or nil when it has none or
+// several (a predecessor branching to b on both edges counts once).
+func singlePred(b *ir.Block) *ir.Block {
+	var pred *ir.Block
+	for _, p := range b.Parent.Blocks {
+		for _, s := range p.Succs() {
+			if s == b {
+				if pred != nil {
+					return nil
+				}
+				pred = p
+				break
+			}
+		}
+	}
+	return pred
 }
 
 // threadEmptyBlocks redirects branches that target a block containing only

@@ -65,8 +65,10 @@ func (c *Client) Submit(req CampaignRequest, onCell func(Event)) (*Event, error)
 
 	sc := bufio.NewScanner(resp.Body)
 	// Report events carry a full PerfReport (sites included under
-	// -siteprofile); size the line buffer like the journal reader does.
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	// -siteprofile), so lines may reach the journal reader's 64 MiB limit.
+	// The buffer starts small and grows only for long lines, so a short
+	// cached response does not zero (and later collect) a 1 MiB buffer.
+	sc.Buffer(nil, 1<<26)
 	var report *Event
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
