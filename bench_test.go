@@ -16,6 +16,7 @@
 package repro
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -274,6 +275,24 @@ type engineCell struct {
 	opts vm.Options
 }
 
+// run executes the prepared cell on machine under kind. Programs come from
+// the compiled-program cache, keyed by the cell and the compile options, so
+// the repeated runs of one prepared module time execution only.
+func (c engineCell) run(kind bytecode.EngineKind, machine *vm.VM) error {
+	if kind != bytecode.EngineBytecode && kind != bytecode.EngineCompiler {
+		_, err := machine.Run()
+		return err
+	}
+	o := machine.Options()
+	key := fmt.Sprintf("%s|%s|prof=%t|rec=%t", c.key, kind, o.SiteProfile, o.Forensics)
+	eng, err := bytecode.NewEngine(bytecode.CompileCached(key, c.m, machine.CostModel(), o.SiteProfile, o.Forensics, kind), machine)
+	if err != nil {
+		return err
+	}
+	_, err = eng.Run()
+	return err
+}
+
 func prepareEngineCells(b *testing.B, benches []*spec.Benchmark) []engineCell {
 	b.Helper()
 	configs := []harness.RunConfig{
@@ -327,7 +346,7 @@ func runEngineCells(b *testing.B, kind bytecode.EngineKind, cells []engineCell) 
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, rerr := bytecode.RunOn(kind, machine, c.key); rerr != nil {
+			if rerr := c.run(kind, machine); rerr != nil {
 				b.Fatalf("%s: %v", c.key, rerr)
 			}
 			instrs += machine.Stats.Instrs

@@ -35,7 +35,7 @@ func TestCompilerPerfGate(t *testing.T) {
 					t.Fatal(err)
 				}
 				start := time.Now()
-				if _, rerr := bytecode.RunOn(kind, machine, c.key); rerr != nil {
+				if rerr := c.run(kind, machine); rerr != nil {
 					t.Fatalf("%s: %v", c.key, rerr)
 				}
 				d += time.Since(start)

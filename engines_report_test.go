@@ -87,7 +87,7 @@ func TestRegenerateBenchEngines(t *testing.T) {
 						t.Fatal(err)
 					}
 					start := time.Now()
-					if _, rerr := bytecode.RunOn(kind, machine, c.key); rerr != nil {
+					if rerr := c.run(kind, machine); rerr != nil {
 						t.Fatalf("%s on %v: %v", c.key, kind, rerr)
 					}
 					d += time.Since(start)

@@ -454,34 +454,15 @@ func (p *Program) NumOps() int {
 
 // RunOn executes the VM's module under the selected engine. Under
 // EngineTree it is machine.Run(). Under EngineBytecode and EngineCompiler
-// the module is compiled for that tier (through the compiled-module cache
-// when cacheKey is non-empty) and executed by a fresh Engine bound to the VM.
-func RunOn(kind EngineKind, machine *vm.VM, cacheKey string) (int32, error) {
+// the module is compiled for that tier and executed by a fresh Engine bound
+// to the VM. Nothing is cached: a program is bound to the exact module
+// instance it was compiled from, and callers run each module instance once.
+func RunOn(kind EngineKind, machine *vm.VM) (int32, error) {
 	if kind != EngineBytecode && kind != EngineCompiler {
 		return machine.Run()
 	}
-	prof := machine.Options().SiteProfile
-	rec := machine.Options().Forensics
-	var prog *Program
-	if cacheKey != "" {
-		// Profiled/recorded and plain compilations of the same module differ
-		// in their opcodes, so they must not share a cache slot; the compiler
-		// tier carries quickening state on its Fns, so it must not share a
-		// slot with the bytecode tier either (a quickened program must never
-		// be served to a run keyed for the plain tier, and vice versa).
-		if prof {
-			cacheKey += "|siteprofile"
-		}
-		if rec {
-			cacheKey += "|forensics"
-		}
-		if kind == EngineCompiler {
-			cacheKey += "|tier=compiler"
-		}
-		prog = CompileCached(cacheKey, machine.Mod, machine.CostModel(), prof, rec, kind)
-	} else {
-		prog = compileTier(machine.Mod, machine.CostModel(), prof, rec, kind)
-	}
+	opts := machine.Options()
+	prog := compileTier(machine.Mod, machine.CostModel(), opts.SiteProfile, opts.Forensics, kind)
 	eng, err := NewEngine(prog, machine)
 	if err != nil {
 		return 0, err

@@ -7,18 +7,18 @@ import (
 	"repro/internal/vm"
 )
 
-// The compiled-module cache. Campaign code runs the same (benchmark, config)
-// module many times — once per figure that includes the cell, plus the fault
-// campaign's coverage pass — and compilation is pure, so programs are cached
-// under a caller-chosen key. A hit requires the same module *instance*, cost
-// model and engine tier: the key alone is a claim, the identity check is the
-// proof (harness clones modules per config, and a re-instrumented clone
-// under a reused key must not resurrect stale bytecode).
+// The compiled-module cache, for callers that run one module instance many
+// times (perfbench's traced campaign, the repository's engine benchmarks and
+// perf gates). The harness and RunOn do not use it: each of their runs
+// compiles a fresh module, so the identity check below could never match.
+// Programs are cached under a caller-chosen key. A hit requires the same
+// module *instance*, cost model and engine tier: the key alone is a claim,
+// the identity check is the proof (a re-instrumented clone under a reused
+// key must not resurrect stale bytecode).
 //
 // Concurrent lookups of the same key are singleflighted: the first caller
 // compiles while later callers block on the entry's once and share the
-// resulting program, so a replay-load server hitting one campaign from many
-// goroutines compiles each module exactly once.
+// resulting program.
 
 type cacheEntry struct {
 	mod  *ir.Module
@@ -38,16 +38,18 @@ var (
 	misses  uint64
 )
 
-// cacheLimit bounds retained programs; the whole campaign needs well under
+// cacheLimit bounds retained programs; a traced campaign needs well under
 // this many (20 benchmarks x a dozen configs).
 const cacheLimit = 1024
 
 // CompileCached returns the compiled program for (key, mod, cm, prof, rec,
-// tier), compiling and caching on miss. cm may be nil for the default model;
-// prof selects the site-profiling opcode variants, rec the forensic-recording
-// ones, and tier the execution engine the program is compiled for (the
-// compiler tier records trace-fusable loop geometry and quickens lazily; any
-// other tier normalizes to plain bytecode).
+// tier), compiling and caching on miss. It stays exported for callers that
+// rerun one module instance (perfbench's tracer, the root benchmarks). cm
+// may be nil for the default model; prof selects the site-profiling opcode
+// variants, rec the forensic-recording ones, and tier the execution engine
+// the program is compiled for (the compiler tier records trace-fusable loop
+// geometry and quickens lazily; any other tier normalizes to plain
+// bytecode).
 func CompileCached(key string, mod *ir.Module, cm *vm.CostModel, prof, rec bool, tier EngineKind) *Program {
 	if cm == nil {
 		cm = vm.DefaultCostModel()
@@ -86,8 +88,9 @@ func CompileCached(key string, mod *ir.Module, cm *vm.CostModel, prof, rec bool,
 	return e.prog
 }
 
-// CacheStats reports cumulative hit/miss counts (tests, diagnostics). A
-// caller that joined an in-flight compile counts as a hit.
+// CacheStats reports cumulative hit/miss counts of CompileCached (tests,
+// perfbench's bytecode.cache_hit_ratio). A caller that joined an in-flight
+// compile counts as a hit. Harness cells never move it.
 func CacheStats() (h, m uint64) {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()

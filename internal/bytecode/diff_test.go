@@ -100,7 +100,7 @@ func runUnder(t *testing.T, kind bytecode.EngineKind, m *ir.Module, vopts vm.Opt
 	if err != nil {
 		t.Fatalf("vm.New: %v", err)
 	}
-	code, rerr := bytecode.RunOn(kind, machine, "")
+	code, rerr := bytecode.RunOn(kind, machine)
 	return runOutcome{code: code, output: machine.Output(), stats: machine.Stats,
 		sites: machine.SiteProfile(), err: rerr}
 }
@@ -295,7 +295,7 @@ func TestDifferentialCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("vm.New: %v", err)
 		}
-		if _, rerr := bytecode.RunOn(kind, machine, ""); rerr != nil {
+		if _, rerr := bytecode.RunOn(kind, machine); rerr != nil {
 			t.Fatalf("%v run: %v", kind, rerr)
 		}
 		return o.CoverInstrs
@@ -399,7 +399,7 @@ int main() {
 		if err != nil {
 			t.Fatalf("vm.New: %v", err)
 		}
-		code, rerr := bytecode.RunOn(kind, machine, "")
+		code, rerr := bytecode.RunOn(kind, machine)
 		var re *vm.RuntimeError
 		if !errors.As(rerr, &re) || re.Msg != "step limit exceeded" {
 			t.Fatalf("%v: want step limit error, got code=%d err=%v", kind, code, rerr)
@@ -432,7 +432,7 @@ int main() {
 		if err != nil {
 			t.Fatalf("vm.New: %v", err)
 		}
-		_, rerr := bytecode.RunOn(kind, machine, "")
+		_, rerr := bytecode.RunOn(kind, machine)
 		if rerr == nil {
 			t.Fatalf("%v: expected an error under a 64 MiB budget", kind)
 		}

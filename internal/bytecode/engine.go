@@ -41,9 +41,9 @@ type Engine struct {
 	steps    uint64
 	maxSteps uint64
 	// intr is the VM's cooperative cancellation flag (nil when unused);
-	// intrCountdown schedules the next poll, mirroring the tree
-	// interpreter so a raised flag stops either engine within the same
-	// bounded number of instructions.
+	// intrCountdown schedules the next poll, counted per instruction like
+	// the tree interpreter's (a fused check+access op is two), so a raised
+	// flag stops every engine at the same instruction.
 	intr          *vm.InterruptFlag
 	intrCountdown uint64
 
@@ -248,14 +248,10 @@ func (e *Engine) call(fn *Fn, args []uint64) (uint64, error) {
 		lfMark = e.vm.LF.Checkpoint()
 	}
 	e.frames = append(e.frames, engFrame{fn: fn})
-	var q *quickFn
-	if e.opt {
-		q = fn.quicken()
-	}
 	var fallback []uint64
 	savedFB := e.fb
 	e.fb = &fallback
-	ret, err := e.exec(fn, q, args, &fallback)
+	ret, err := e.exec(fn, args, &fallback)
 	e.fb = savedFB
 	e.frames = e.frames[:len(e.frames)-1]
 	e.vm.SetStackPointer(savedSP)
@@ -354,13 +350,16 @@ func b2u(b bool) uint64 {
 // accounting sequence of the reference interpreter's instruction loop:
 // step++, step-limit check, Stats.Instrs++, Stats.Cost, coverage mark.
 //
-// q, when non-nil, is the function's quickened overlay (compiler tier): at
-// superinstruction and fused-loop entry points, execution switches to the
-// batched fast paths in quickrun.go whenever the entry condition shows the
-// next interrupt poll and the step limit are unreachable inside the fused
-// region; otherwise this loop runs the same ops one at a time with exact
-// per-op accounting.
-func (e *Engine) exec(fn *Fn, q *quickFn, args []uint64, fallback *[]uint64) (uint64, error) {
+// Under the compiler tier a function with native code enters it once, at
+// pc 0; a bail-out (step limit inside a batch, interrupt pending) ends the
+// run within one batch, so the rest of that invocation finishes here on
+// plain dispatch. A function without native code runs its quickened
+// overlay, built on its first such call: at superinstruction and
+// fused-loop entry points, execution switches to the batched fast paths in
+// quickrun.go whenever the entry condition shows the next interrupt poll
+// and the step limit are unreachable inside the fused region; otherwise
+// this loop runs the same ops one at a time with exact per-op accounting.
+func (e *Engine) exec(fn *Fn, args []uint64, fallback *[]uint64) (uint64, error) {
 	regs := e.getRegs(fn.nregs)
 	defer func() { e.free = append(e.free, regs) }()
 	copy(regs[:fn.nparams], args)
@@ -371,28 +370,17 @@ func (e *Engine) exec(fn *Fn, q *quickFn, args []uint64, fallback *[]uint64) (ui
 	cover := e.cover
 	ops := fn.ops
 	pc := 0
-	// natSkip forces at least one non-native dispatch after a native
-	// bail-out, so a bail at pc (step limit near, interrupt pending) cannot
-	// immediately re-enter native code at the same pc and livelock.
-	natSkip := false
-	for {
-		if e.nat != nil && !natSkip {
-			if nf := &e.nat.prog.fns[fn.idx]; nf.code != nil {
-				if bb := nf.at[pc]; bb >= 0 {
-					npc, ret, done, err := e.execNative(fn, nf, bb, regs)
-					if err != nil {
-						return 0, err
-					}
-					if done {
-						return ret, nil
-					}
-					pc = npc
-					natSkip = true
-					continue
-				}
-			}
+	var q *quickFn
+	if code := e.natCode(fn); code != nil {
+		npc, ret, done, err := e.execNative(fn, code, regs)
+		if err != nil || done {
+			return ret, err
 		}
-		natSkip = false
+		pc = npc
+	} else if e.opt {
+		q = fn.quicken()
+	}
+	for {
 		if q != nil {
 			if v := q.at[pc]; v != atNone {
 				entry := false
@@ -435,10 +423,8 @@ func (e *Engine) exec(fn *Fn, q *quickFn, args []uint64, fallback *[]uint64) (ui
 			}
 			e.intrCountdown--
 			if e.intrCountdown == 0 {
-				e.intrCountdown = vm.InterruptStride
-				if r := e.intr.Raised(); r != vm.IntrNone {
-					e.intr.MarkObserved()
-					return 0, &vm.InterruptError{Reason: r, Steps: e.steps}
+				if err := e.poll(); err != nil {
+					return 0, err
 				}
 			}
 			st.Instrs++
@@ -765,8 +751,11 @@ func (e *Engine) exec(fn *Fn, q *quickFn, args []uint64, fallback *[]uint64) (ui
 			}
 			aux := &fn.aux[o.x]
 			e.steps++
-			if e.steps > e.maxSteps {
-				return 0, e.rte(pc, aux.in2, "step limit exceeded")
+			e.intrCountdown--
+			if e.steps > e.maxSteps || e.intrCountdown == 0 {
+				if err := e.accessStop(pc, aux); err != nil {
+					return 0, err
+				}
 			}
 			st.Instrs++
 			st.Cost += aux.cost2
@@ -792,8 +781,11 @@ func (e *Engine) exec(fn *Fn, q *quickFn, args []uint64, fallback *[]uint64) (ui
 			}
 			aux := &fn.aux[o.x]
 			e.steps++
-			if e.steps > e.maxSteps {
-				return 0, e.rte(pc, aux.in2, "step limit exceeded")
+			e.intrCountdown--
+			if e.steps > e.maxSteps || e.intrCountdown == 0 {
+				if err := e.accessStop(pc, aux); err != nil {
+					return 0, err
+				}
 			}
 			st.Instrs++
 			st.Cost += aux.cost2
@@ -857,8 +849,11 @@ func (e *Engine) exec(fn *Fn, q *quickFn, args []uint64, fallback *[]uint64) (ui
 			}
 			aux := &fn.aux[o.x]
 			e.steps++
-			if e.steps > e.maxSteps {
-				return 0, e.rte(pc, aux.in2, "step limit exceeded")
+			e.intrCountdown--
+			if e.steps > e.maxSteps || e.intrCountdown == 0 {
+				if err := e.accessStop(pc, aux); err != nil {
+					return 0, err
+				}
 			}
 			st.Instrs++
 			st.Cost += aux.cost2
@@ -884,8 +879,11 @@ func (e *Engine) exec(fn *Fn, q *quickFn, args []uint64, fallback *[]uint64) (ui
 			}
 			aux := &fn.aux[o.x]
 			e.steps++
-			if e.steps > e.maxSteps {
-				return 0, e.rte(pc, aux.in2, "step limit exceeded")
+			e.intrCountdown--
+			if e.steps > e.maxSteps || e.intrCountdown == 0 {
+				if err := e.accessStop(pc, aux); err != nil {
+					return 0, err
+				}
 			}
 			st.Instrs++
 			st.Cost += aux.cost2
@@ -966,8 +964,11 @@ func (e *Engine) exec(fn *Fn, q *quickFn, args []uint64, fallback *[]uint64) (ui
 			}
 			aux := &fn.aux[o.x]
 			e.steps++
-			if e.steps > e.maxSteps {
-				return 0, e.rte(pc, aux.in2, "step limit exceeded")
+			e.intrCountdown--
+			if e.steps > e.maxSteps || e.intrCountdown == 0 {
+				if err := e.accessStop(pc, aux); err != nil {
+					return 0, err
+				}
 			}
 			st.Instrs++
 			st.Cost += aux.cost2
@@ -993,8 +994,11 @@ func (e *Engine) exec(fn *Fn, q *quickFn, args []uint64, fallback *[]uint64) (ui
 			}
 			aux := &fn.aux[o.x]
 			e.steps++
-			if e.steps > e.maxSteps {
-				return 0, e.rte(pc, aux.in2, "step limit exceeded")
+			e.intrCountdown--
+			if e.steps > e.maxSteps || e.intrCountdown == 0 {
+				if err := e.accessStop(pc, aux); err != nil {
+					return 0, err
+				}
 			}
 			st.Instrs++
 			st.Cost += aux.cost2
@@ -1057,6 +1061,28 @@ func (e *Engine) exec(fn *Fn, q *quickFn, args []uint64, fallback *[]uint64) (ui
 		}
 		pc++
 	}
+}
+
+// poll resets the interrupt countdown, which just reached zero, and reports
+// a raised interrupt: the reference interpreter polls once every
+// vm.InterruptStride instructions.
+func (e *Engine) poll() error {
+	e.intrCountdown = vm.InterruptStride
+	if r := e.intr.Raised(); r != vm.IntrNone {
+		e.intr.MarkObserved()
+		return &vm.InterruptError{Reason: r, Steps: e.steps}
+	}
+	return nil
+}
+
+// accessStop handles the access half of a fused check+access op reaching
+// the step limit or the next interrupt poll. The half is an instruction of
+// its own to the reference interpreter, so it counts toward both.
+func (e *Engine) accessStop(pc int, aux *fusedAux) error {
+	if e.steps > e.maxSteps {
+		return e.rte(pc, aux.in2, "step limit exceeded")
+	}
+	return e.poll()
 }
 
 // sbCheck replicates the mi_sb_check handler (statistics, wide-bounds

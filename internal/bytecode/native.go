@@ -35,16 +35,10 @@ import (
 // therefore exercises the same observable behavior whether or not native
 // execution is available.
 
-// natFn is one loaded native function: its entry point and the pc → entry
-// block index map (-1 where native entry is not possible).
-type natFn struct {
-	code natFunc
-	at   []int32
-}
-
-// natProg is a loaded plugin bound to a Program's function list.
+// natProg is a loaded plugin bound to a Program's function list: one entry
+// point per function, nil where the function stays on the interpreter.
 type natProg struct {
-	fns []natFn
+	fns []natFunc
 }
 
 // natState is the cached build outcome on a Program (prog nil: build failed,
@@ -188,7 +182,7 @@ func (p *Program) native() *natProg {
 
 // buildNative generates, compiles and loads the plugin for p.
 func buildNative(p *Program) *natProg {
-	src, metas := natGenerate(p)
+	src := natGenerate(p)
 	key := natKey(natToolchain, src)
 	fallback := func(reason string, detail string) *natProg {
 		natCount(func(s *NativeTierStats) {
@@ -218,14 +212,8 @@ func buildNative(p *Program) *natProg {
 	if !ok || len(*fns) != len(p.fns) {
 		return fallback(NativeFallbackPluginLoad, "plugin symbol has the wrong shape")
 	}
-	np := &natProg{fns: make([]natFn, len(p.fns))}
-	for i := range p.fns {
-		if metas[i].compiled && (*fns)[i] != nil {
-			np.fns[i] = natFn{code: (*fns)[i], at: metas[i].at}
-		}
-	}
 	natEvent(NativeBuildEvent{Hash: key, Kind: "promote", Start: time.Now()})
-	return np
+	return &natProg{fns: *fns}
 }
 
 var natBuildMu sync.Mutex
@@ -439,17 +427,25 @@ func (e *Engine) natRte(pc int) error {
 	}
 }
 
-// execNative runs fn's native code from the given entry block over the
-// canonical register file. It returns either the function's result
-// (done=true) or the pc to resume interpretation at after a bail-out.
-func (e *Engine) execNative(fn *Fn, nf *natFn, entry int32, regs []uint64) (npc int, ret uint64, done bool, err error) {
+// natCode returns fn's native code, nil when fn runs on the interpreter.
+func (e *Engine) natCode(fn *Fn) natFunc {
+	if e.nat == nil {
+		return nil
+	}
+	return e.nat.prog.fns[fn.idx]
+}
+
+// execNative runs fn's native code from its entry over the canonical
+// register file. It returns either the function's result (done=true) or the
+// pc to resume interpretation at after a bail-out.
+func (e *Engine) execNative(fn *Fn, code natFunc, regs []uint64) (npc int, ret uint64, done bool, err error) {
 	ev := e.nat.env
 	savedFn, savedGate := e.natFn, e.natGateInstrs
 	e.natFn = fn
 	e.natGateInstrs = 0
 	i0 := e.st.Instrs
 	e.natLoad(ev)
-	r, err := nf.code(uint64(entry), regs, ev)
+	r, err := code(regs, ev)
 	e.natFlush(ev)
 	bailed := err == nil && ev.Cnt[cntBail] != 0
 	if e.tierFns != nil {
@@ -489,10 +485,8 @@ func (e *Engine) gateOp(fn *Fn, pc int, regs []uint64) error {
 	}
 	e.intrCountdown--
 	if e.intrCountdown == 0 {
-		e.intrCountdown = vm.InterruptStride
-		if r := e.intr.Raised(); r != vm.IntrNone {
-			e.intr.MarkObserved()
-			return &vm.InterruptError{Reason: r, Steps: e.steps}
+		if err := e.poll(); err != nil {
+			return err
 		}
 	}
 	st.Instrs++

@@ -75,12 +75,14 @@ type natEnv = struct {
 	Gate func(uint64, []uint64) error
 }
 
-// natFunc is the signature of one natively compiled function: entry block
-// index, the canonical register file (parameters and constants pre-loaded by
-// the host, all registers reloaded on entry), and the engine's environment.
-// It returns the function's return value; a bail-out back to the interpreter
-// is signalled through Cnt[cntBail]/Cnt[cntBailPC] with a nil error.
-type natFunc = func(uint64, []uint64, *natEnv) (uint64, error)
+// natFunc is the signature of one natively compiled function: the canonical
+// register file (parameters and constants pre-loaded by the host, every
+// other register zero) and the engine's environment. It is entered only at
+// the function's first op. It returns the function's return value; a
+// bail-out back to the interpreter is signalled through
+// Cnt[cntBail]/Cnt[cntBailPC] with a nil error, after spilling every
+// register it wrote.
+type natFunc = func([]uint64, *natEnv) (uint64, error)
 
 // Counter-block indices. cntInstrs..cntMetaStores mirror the identically
 // named vm.Stats fields; cntSteps/cntCountdown mirror the engine's step and

@@ -89,7 +89,7 @@ int main(void) {
   return s & 127;
 }
 `)
-	src, _ := natGenerate(prog)
+	src := natGenerate(prog)
 	key := natKey(natToolchain, src)
 	natBuildMu.Lock()
 	natBuilt[key] = "" // poison: "this source failed to build before"
@@ -130,7 +130,7 @@ int main(void) {
   return s & 127;
 }
 `)
-	src, _ := natGenerate(prog)
+	src := natGenerate(prog)
 	key := natKey(natToolchain, src)
 	soPath := natPluginPath(key)
 	if err := os.MkdirAll(filepath.Dir(soPath), 0o777); err != nil {

@@ -36,6 +36,12 @@ import (
 // ops one at a time with the exact per-op preamble — so step-limit faults and
 // interrupt observations land on exactly the op, and with exactly the
 // statistics, the reference interpreter reports.
+//
+// Native code is entered only at a function's first op, so a generated
+// function loads just its parameters and constants from the register file
+// and starts every other register at zero, as the interpreter does. A bail
+// ends the run within one batch, so the rest of that invocation finishes on
+// the interpreter and never re-enters native code.
 
 // natEnvDecl must stay byte-identical (modulo the alias name) to the natEnv
 // declaration in native_env.go: the plugin and the host assert type identity
@@ -59,26 +65,18 @@ const natEnvDecl = `type env = struct {
 }
 `
 
-// natFnMeta is the host-side description of one generated function.
-type natFnMeta struct {
-	compiled bool
-	// at maps a pc to its block's entry index (-1 when pc is not a block
-	// leader); the entry index is the plugin function's dispatch argument.
-	at []int32
-}
-
 // natContrib is the statically known statistics contribution of one op (or a
-// batch of ops): the vm.Stats deltas plus the counted-step total (st) and the
-// interrupt-countdown decrement total (po). The two differ for fused
-// check+access ops, whose second phase counts a step and an instruction but
-// does not touch the countdown. For profiled programs, sites carries the
-// per-site Execs/Cost contributions of the batch (wide counts are dynamic
-// and bump inline); they commit and roll back with the same suffix
-// discipline as the Cnt words, matching the interpreter's bump-before-check
-// order — a fault at a profiling op keeps that op's own site commit.
+// batch of ops): the vm.Stats deltas plus the counted-step total (st), which
+// is also the interrupt-countdown decrement (a fused check+access op counts
+// two of each, like the two instructions it is). For profiled programs,
+// sites carries the per-site Execs/Cost contributions of the batch (wide
+// counts are dynamic and bump inline); they commit and roll back with the
+// same suffix discipline as the Cnt words, matching the interpreter's
+// bump-before-check order — a fault at a profiling op keeps that op's own
+// site commit.
 type natContrib struct {
-	in, co, st, po, ld, sr, ck, iv, ml, ms uint64
-	sites                                  []natSiteContrib
+	in, co, st, ld, sr, ck, iv, ml, ms uint64
+	sites                              []natSiteContrib
 }
 
 // natSiteContrib is one site's static contribution: ex executions charging
@@ -91,7 +89,6 @@ func (c *natContrib) add(d natContrib) {
 	c.in += d.in
 	c.co += d.co
 	c.st += d.st
-	c.po += d.po
 	c.ld += d.ld
 	c.sr += d.sr
 	c.ck += d.ck
@@ -223,7 +220,7 @@ func natContribOf(fn *Fn, cm *vm.CostModel, o *op) natContrib {
 	if o.code >= opUncountedStart {
 		return natContrib{} // PhiCopy/ErrRaw account for themselves
 	}
-	c := natContrib{in: 1, co: o.cost, st: 1, po: 1}
+	c := natContrib{in: 1, co: o.cost, st: 1}
 	switch o.code {
 	case opLoad:
 		c.ld = 1
@@ -273,8 +270,8 @@ type natFnGen struct {
 	body    strings.Builder
 	used    map[int32]bool
 	written map[int32]bool
-	blockOf map[int]int // leader pc -> block index
 	leaders []int
+	targets map[int]bool // branch-target pcs, the only labels emitted
 	hasBail bool
 	ok      bool
 	tmp     int // unique suffix for scoped temporaries
@@ -348,12 +345,14 @@ func natFB(bits uint64, expr string) string {
 func (g *natFnGen) findLeaders() {
 	ops := g.fn.ops
 	set := map[int]bool{0: true}
+	g.targets = map[int]bool{}
 	mark := func(t int32) {
 		if t < 0 || int(t) >= len(ops) {
 			g.ok = false
 			return
 		}
 		set[int(t)] = true
+		g.targets[int(t)] = true
 	}
 	for i := range ops {
 		o := &ops[i]
@@ -376,10 +375,6 @@ func (g *natFnGen) findLeaders() {
 		g.leaders = append(g.leaders, pc)
 	}
 	sort.Ints(g.leaders)
-	g.blockOf = make(map[int]int, len(g.leaders))
-	for bi, pc := range g.leaders {
-		g.blockOf[pc] = bi
-	}
 }
 
 func (g *natFnGen) emitBatch(units []int) {
@@ -395,7 +390,7 @@ func (g *natFnGen) emitBatch(units []int) {
 		g.hasBail = true
 		g.pf("if ev.Cnt[%d]+%d > ev.Cnt[%d] {\nbailpc = %d\ngoto bail\n}\n", cntSteps, tot.st, cntMaxSteps, pc0)
 		g.pf("if ev.Cnt[%d] <= %d {\nif ev.Poll() != 0 {\nbailpc = %d\ngoto bail\n}\nev.Cnt[%d] = %d - (%d - ev.Cnt[%d])\n} else {\nev.Cnt[%d] -= %d\n}\n",
-			cntCountdown, tot.po, pc0, cntCountdown, vm.InterruptStride, tot.po, cntCountdown, cntCountdown, tot.po)
+			cntCountdown, tot.st, pc0, cntCountdown, vm.InterruptStride, tot.st, cntCountdown, cntCountdown, tot.st)
 		g.pf("ev.Cnt[%d] += %d\n", cntSteps, tot.st)
 	}
 	addC := func(idx int, v uint64) {
@@ -804,7 +799,12 @@ func (g *natFnGen) emitBlock(bi int) {
 	if bi+1 < len(g.leaders) {
 		e = g.leaders[bi+1]
 	}
-	g.pf("bb%d:\n", s)
+	switch {
+	case g.targets[s]:
+		g.pf("bb%d:\n", s)
+	case s != 0:
+		return // follows a terminator and nothing branches here: dead code
+	}
 	var units []int
 	var steps uint64
 	flush := func() {
@@ -840,7 +840,8 @@ func (g *natFnGen) emitBlock(bi int) {
 			return
 		}
 	}
-	// Fell through to the next leader without a terminator.
+	// Fell through to the next leader without a terminator (a branch
+	// target, since every other leader follows a terminator).
 	flush()
 	if e < len(fn.ops) {
 		g.pf("goto bb%d\n", e)
@@ -849,26 +850,26 @@ func (g *natFnGen) emitBlock(bi int) {
 	}
 }
 
-// generate emits the function, returning its source and meta (ok=false when
-// the function uses something the native tier does not compile; the host
-// falls back to the interpreter for it).
-func (g *natFnGen) generate(idx int) (string, natFnMeta, bool) {
+// generate emits the function, returning its source (ok=false when the
+// function uses something the native tier does not compile; the host falls
+// back to the interpreter for it).
+func (g *natFnGen) generate(idx int) (string, bool) {
 	g.used = map[int32]bool{}
 	g.written = map[int32]bool{}
 	g.ok = true
 	g.findLeaders()
 	if !g.ok {
-		return "", natFnMeta{}, false
+		return "", false
 	}
 	for bi := range g.leaders {
 		g.emitBlock(bi)
 		if !g.ok {
-			return "", natFnMeta{}, false
+			return "", false
 		}
 	}
 
 	var f strings.Builder
-	fmt.Fprintf(&f, "func fn%d(entry uint64, regs []uint64, ev *env) (uint64, error) {\n", idx)
+	fmt.Fprintf(&f, "func fn%d(regs []uint64, ev *env) (uint64, error) {\n", idx)
 	f.WriteString("var bailpc uint64\n_ = bailpc\n")
 	var regsUsed []int
 	for r := range g.used {
@@ -876,7 +877,11 @@ func (g *natFnGen) generate(idx int) (string, natFnMeta, bool) {
 	}
 	sort.Ints(regsUsed)
 	for _, r := range regsUsed {
-		fmt.Fprintf(&f, "r%d := regs[%d]\n", r, r)
+		if r < g.fn.nparams || r >= g.fn.constBase {
+			fmt.Fprintf(&f, "r%d := regs[%d]\n", r, r)
+		} else {
+			fmt.Fprintf(&f, "var r%d uint64\n", r)
+		}
 	}
 	for i := 0; i < len(regsUsed); i += 16 {
 		end := min(i+16, len(regsUsed))
@@ -888,11 +893,6 @@ func (g *natFnGen) generate(idx int) (string, natFnMeta, bool) {
 		}
 		fmt.Fprintf(&f, "%s = %s\n", strings.Join(blanks, ", "), strings.Join(vars, ", "))
 	}
-	f.WriteString("switch entry {\n")
-	for bi, pc := range g.leaders {
-		fmt.Fprintf(&f, "case %d:\ngoto bb%d\n", bi, pc)
-	}
-	f.WriteString("}\ngoto bb0\n")
 	f.WriteString(g.body.String())
 	if g.hasBail {
 		f.WriteString("bail:\n")
@@ -907,15 +907,7 @@ func (g *natFnGen) generate(idx int) (string, natFnMeta, bool) {
 		fmt.Fprintf(&f, "ev.Cnt[%d] = 1\nev.Cnt[%d] = bailpc\nreturn 0, nil\n", cntBail, cntBailPC)
 	}
 	f.WriteString("}\n\n")
-
-	meta := natFnMeta{compiled: true, at: make([]int32, len(g.fn.ops))}
-	for i := range meta.at {
-		meta.at[i] = -1
-	}
-	for bi, pc := range g.leaders {
-		meta.at[pc] = int32(bi)
-	}
-	return f.String(), meta, true
+	return f.String(), true
 }
 
 // natGenerate emits the full plugin source for p. The source depends only on
@@ -923,7 +915,7 @@ func (g *natFnGen) generate(idx int) (string, natFnMeta, bool) {
 // global and function addresses stay in the host-loaded register file — so
 // it keys the on-disk plugin cache across processes (natKey). It is left
 // unformatted: go build does not need gofmt, and gofmt cost most of a bind.
-func natGenerate(p *Program) (string, []natFnMeta) {
+func natGenerate(p *Program) string {
 	var b strings.Builder
 	b.WriteString("// Code generated by the native execution tier (internal/bytecode/native_gen.go). DO NOT EDIT.\n")
 	b.WriteString("package main\n\nimport (\n\"encoding/binary\"\n\"math\"\n)\n\n")
@@ -931,19 +923,19 @@ func natGenerate(p *Program) (string, []natFnMeta) {
 	b.WriteString(natEnvDecl)
 	b.WriteString("\nfunc f32(v uint64) float64 { return float64(math.Float32frombits(uint32(v))) }\nfunc b32(f float64) uint64 { return uint64(math.Float32bits(float32(f))) }\n\n")
 
-	metas := make([]natFnMeta, len(p.fns))
+	compiled := make([]bool, len(p.fns))
 	var fnsrc strings.Builder
 	for i, fn := range p.fns {
 		g := &natFnGen{fn: fn, cm: &p.cm}
-		src, meta, ok := g.generate(i)
+		src, ok := g.generate(i)
 		if ok {
-			metas[i] = meta
+			compiled[i] = true
 			fnsrc.WriteString(src)
 		}
 	}
-	b.WriteString("var Fns = []func(uint64, []uint64, *env) (uint64, error){\n")
+	b.WriteString("var Fns = []func([]uint64, *env) (uint64, error){\n")
 	for i := range p.fns {
-		if metas[i].compiled {
+		if compiled[i] {
 			fmt.Fprintf(&b, "fn%d,\n", i)
 		} else {
 			b.WriteString("nil,\n")
@@ -951,5 +943,5 @@ func natGenerate(p *Program) (string, []natFnMeta) {
 	}
 	b.WriteString("}\n\nfunc main() {}\n\n")
 	b.WriteString(fnsrc.String())
-	return b.String(), metas
+	return b.String()
 }

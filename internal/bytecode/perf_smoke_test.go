@@ -25,7 +25,7 @@ func TestEnginePerfSmoke(t *testing.T) {
 				t.Fatalf("vm.New: %v", err)
 			}
 			start := time.Now()
-			if _, rerr := bytecode.RunOn(kind, machine, ""); rerr != nil {
+			if _, rerr := bytecode.RunOn(kind, machine); rerr != nil {
 				t.Fatalf("%v run: %v", kind, rerr)
 			}
 			total += time.Since(start)

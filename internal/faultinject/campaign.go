@@ -339,7 +339,7 @@ func planBench(b *spec.Benchmark, o Options) (*ir.Module, []Fault, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("coverage vm: %w", err)
 	}
-	code, err := bytecode.RunOn(o.Engine, machine, "")
+	code, err := bytecode.RunOn(o.Engine, machine)
 	if err != nil {
 		return nil, nil, fmt.Errorf("coverage run: %w", err)
 	}
@@ -485,7 +485,7 @@ func runVariant(pristine *ir.Module, f Fault, mech core.Mech, o Options) (vr Var
 		vr.Detail = "vm: " + err.Error()
 		return
 	}
-	code, rerr := bytecode.RunOn(o.Engine, machine, "")
+	code, rerr := bytecode.RunOn(o.Engine, machine)
 
 	var viol *vm.ViolationError
 	switch {

@@ -205,7 +205,7 @@ func RunEngine(c *Case, mech core.Mech, engine bytecode.EngineKind) (Outcome, er
 	if err != nil {
 		return Outcome{}, err
 	}
-	_, rerr := bytecode.RunOn(engine, machine, "")
+	_, rerr := bytecode.RunOn(engine, machine)
 	if rerr != nil {
 		if _, ok := rerr.(*vm.ViolationError); ok {
 			return Outcome{Detected: true, Err: rerr}, nil

@@ -86,3 +86,32 @@ func TestResultCacheKeyedByAxes(t *testing.T) {
 		t.Errorf("cache holds %d entries, want 4 (one per distinct axis combination)", got)
 	}
 }
+
+// TestCellsBypassProgramCache: every attempt compiles a fresh module
+// instance, so a cell's program can never be served from bytecode's
+// compiled-program cache. Cells must compile directly and leave that cache
+// (and its counters) untouched, on both bytecode engines, with and without
+// site profiling, across runners.
+func TestCellsBypassProgramCache(t *testing.T) {
+	b := spec.ByName("179art")
+	h0, m0 := bytecode.CacheStats()
+	for round := 0; round < 2; round++ {
+		r := NewRunner()
+		for _, engine := range []bytecode.EngineKind{bytecode.EngineBytecode, bytecode.EngineCompiler} {
+			for _, prof := range []bool{false, true} {
+				for _, cfg := range []RunConfig{PaperConfig(core.MechSoftBound), PaperConfig(core.MechLowFat)} {
+					res, _, err := r.RunCell(b, cfg, RunAxes{Engine: engine, SiteProfile: prof})
+					if err != nil {
+						t.Fatalf("%s/%s/%v prof=%v: %v", b.Name, cfg.Label, engine, prof, err)
+					}
+					if res.Err != nil {
+						t.Fatalf("%s/%s/%v prof=%v: run failed: %v", b.Name, cfg.Label, engine, prof, res.Err)
+					}
+				}
+			}
+		}
+	}
+	if h1, m1 := bytecode.CacheStats(); h1 != h0 || m1 != m0 {
+		t.Errorf("program cache moved: hits %d -> %d, misses %d -> %d", h0, h1, m0, m1)
+	}
+}

@@ -456,8 +456,10 @@ func (e *panicError) Error() string { return e.msg }
 // runAttempt executes one supervised attempt at a cell: a fresh clone of
 // the memoized pipeline prefix through the rest of the pipeline,
 // instrumentation and VM, with the attempt's interrupt flag wired into the
-// engines' step-count poll.
-func (r *Runner) runAttempt(b *spec.Benchmark, cfg RunConfig, engine bytecode.EngineKind, prof, forensics bool, cost *vm.CostModel, key string, flag *vm.InterruptFlag, attempt int, rc RunCtx) (res *Result, err error) {
+// engines' step-count poll. The module is a new instance every attempt, so
+// its program is compiled directly rather than through a program cache that
+// could never hit and would only keep it alive.
+func (r *Runner) runAttempt(b *spec.Benchmark, cfg RunConfig, engine bytecode.EngineKind, prof, forensics bool, cost *vm.CostModel, flag *vm.InterruptFlag, attempt int, rc RunCtx) (res *Result, err error) {
 	// A panic anywhere in the pipeline, instrumentation or VM must not take
 	// down the whole campaign: it becomes this run's failure.
 	defer func() {
@@ -520,7 +522,7 @@ func (r *Runner) runAttempt(b *spec.Benchmark, cfg RunConfig, engine bytecode.En
 		sp.Arg("attempt", attempt+1)
 	}
 	start := time.Now()
-	code, rerr := bytecode.RunOn(engine, machine, key)
+	code, rerr := bytecode.RunOn(engine, machine)
 	res.Wall = time.Since(start)
 	sp.Arg("cost", machine.Stats.Cost)
 	sp.Arg("checks", machine.Stats.Checks)

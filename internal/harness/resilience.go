@@ -232,7 +232,7 @@ func (r *Runner) supervise(b *spec.Benchmark, cfg RunConfig, engine bytecode.Eng
 			kill = time.AfterFunc(act.KillAfter, func() { flag.Interrupt(vm.IntrChaos) })
 		}
 		start := time.Now()
-		res, err := r.runAttempt(b, cfg, engine, prof, forensics, cost, key, cell.Flag, attempt, rc)
+		res, err := r.runAttempt(b, cfg, engine, prof, forensics, cost, cell.Flag, attempt, rc)
 		if kill != nil {
 			kill.Stop()
 		}

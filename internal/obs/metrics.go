@@ -305,26 +305,42 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
 	}
+	for _, fv := range r.view() {
+		f := fv.f
+		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
+		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
+		f.writeSeries(w, fv.series)
+	}
+}
+
+// familyView is one family with its series in deterministic order, copied
+// under the registry lock: lookup adds series to a family's map under that
+// lock, so the map must not be read once it is released.
+type familyView struct {
+	f      *family
+	series []*series
+}
+
+// view snapshots every family, sorted by name, and its series, sorted by
+// label set. Series values are read later through their atomics.
+func (r *Registry) view() []familyView {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.families))
 	for n := range r.families {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fams := make([]*family, len(names))
+	out := make([]familyView, len(names))
 	for i, n := range names {
-		fams[i] = r.families[n]
+		f := r.families[n]
+		out[i] = familyView{f: f, series: f.sortedSeries()}
 	}
-	r.mu.Unlock()
-
-	for _, f := range fams {
-		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
-		f.writeSeries(w)
-	}
+	return out
 }
 
-// sortedSeries snapshots a family's series in deterministic order.
+// sortedSeries lists a family's series in deterministic order. The caller
+// holds the registry lock.
 func (f *family) sortedSeries() []*series {
 	keys := make([]string, 0, len(f.series))
 	for k := range f.series {
@@ -338,8 +354,8 @@ func (f *family) sortedSeries() []*series {
 	return out
 }
 
-func (f *family) writeSeries(w io.Writer) {
-	for _, s := range f.sortedSeries() {
+func (f *family) writeSeries(w io.Writer, series []*series) {
+	for _, s := range series {
 		switch f.typ {
 		case typeCounter:
 			fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(s.labels), s.c.Value())

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -199,6 +200,45 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 	if got := r.Histogram("mi_conc_seconds", "h", nil).Count(); got != 8000 {
 		t.Errorf("concurrent histogram count = %d, want 8000", got)
+	}
+}
+
+// TestScrapeWhileRegistering scrapes the registry (both exposition paths)
+// while other goroutines keep registering new label sets in the same
+// families. Under -race it catches a scrape that reads a family's series map
+// after releasing the registry lock.
+func TestScrapeWhileRegistering(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("mi_scrape_total", "c", L("n", "seed")).Inc()
+	r.Histogram("mi_scrape_seconds", "h", nil, L("n", "seed")).Observe(0.001)
+	const writers, perWriter = 2, 300
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perWriter; j++ {
+				n := L("n", fmt.Sprintf("%d-%d", w, j))
+				r.Counter("mi_scrape_total", "c", n).Inc()
+				r.Histogram("mi_scrape_seconds", "h", nil, n).Observe(0.001)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		var buf bytes.Buffer
+		r.WritePrometheus(&buf)
+		_ = r.Snapshot()
+	}
+	want := float64(writers*perWriter + 1)
+	if got := r.Snapshot().SumCounter("mi_scrape_total"); got != want {
+		t.Errorf("counter series sum = %v, want %v", got, want)
 	}
 }
 

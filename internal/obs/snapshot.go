@@ -38,21 +38,10 @@ func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.families[n]
-	}
-	r.mu.Unlock()
-
 	snap := &Snapshot{Metrics: []MetricPoint{}}
-	for _, f := range fams {
-		for _, s := range f.sortedSeries() {
+	for _, fv := range r.view() {
+		f := fv.f
+		for _, s := range fv.series {
 			p := MetricPoint{Name: f.name, Type: f.typ}
 			if len(s.labels) > 0 {
 				p.Labels = make(map[string]string, len(s.labels))

@@ -172,20 +172,22 @@ type ShadowStack struct {
 	Pops   uint64
 }
 
-// NewShadowStack returns a shadow stack with the given capacity in entries.
+// NewShadowStack returns a shadow stack with room for capacity entries and
+// at least one frame. It grows on demand as frames are allocated.
 func NewShadowStack(capacity int) *ShadowStack {
-	return &ShadowStack{slots: make([]Bounds, capacity)}
+	return &ShadowStack{slots: make([]Bounds, max(capacity, maxShadowArgs+1))}
 }
 
 // AllocateFrame opens a call frame with nArgs pointer-argument slots and one
 // return slot (slot layout: [ret, arg1, arg2, ...], 1-based arg indexing like
-// the lookup_bs(1) calls in Figure 6).
+// the lookup_bs(1) calls in Figure 6). The stack grows to cover the whole
+// frame, whatever nArgs is, so a callee reading a slot its caller never
+// wrote gets zero or stale bounds rather than an out-of-range access.
 func (s *ShadowStack) AllocateFrame(nArgs int) {
 	s.frame = append(s.frame, s.sp)
 	s.sp += s.frameSize()
-	need := s.sp + nArgs + 1
-	for len(s.slots) < need {
-		s.slots = append(s.slots, Bounds{})
+	if need := s.sp + max(nArgs, maxShadowArgs) + 1; need > len(s.slots) {
+		s.slots = append(s.slots, make([]Bounds, need-len(s.slots))...)
 	}
 	s.Pushes++
 }

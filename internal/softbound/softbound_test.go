@@ -215,6 +215,62 @@ func TestShadowStackStaleness(t *testing.T) {
 	ss.PopFrame()
 }
 
+// TestShadowStackUnwrittenSlotsOnDemand: a stack that starts with one frame
+// grows as frames open, and a callee reading argument slots its caller never
+// wrote — here every slot of a zero-argument frame, at a depth the stack has
+// not reached before — gets zero bounds, or the stale bounds an earlier,
+// deeper call left behind, never an out-of-range access.
+func TestShadowStackUnwrittenSlotsOnDemand(t *testing.T) {
+	ss := NewShadowStack(0)
+	for i := 0; i <= maxShadowArgs; i++ {
+		if got := ss.Arg(i); got != (Bounds{}) {
+			t.Fatalf("depth 0 slot %d = %+v, want zero", i, got)
+		}
+	}
+	ss.AllocateFrame(0)
+	for i := 1; i <= maxShadowArgs; i++ {
+		if got := ss.Arg(i); got != (Bounds{}) {
+			t.Fatalf("fresh frame arg %d = %+v, want zero", i, got)
+		}
+	}
+	ss.AllocateFrame(maxShadowArgs)
+	ss.SetArg(maxShadowArgs, Bounds{Base: 5, Bound: 6})
+	ss.PopFrame()
+	ss.AllocateFrame(0)
+	if got := ss.Arg(maxShadowArgs); got != (Bounds{Base: 5, Bound: 6}) {
+		t.Errorf("stale arg %d = %+v, want the earlier call's bounds", maxShadowArgs, got)
+	}
+	ss.PopFrame()
+	ss.PopFrame()
+	if ss.Depth() != 0 {
+		t.Errorf("depth %d after unwinding, want 0", ss.Depth())
+	}
+}
+
+// TestShadowStackDeepRecursion opens more frames than a fixed 1<<16-entry
+// stack holds (4096 frames), round-tripping bounds through every one.
+func TestShadowStackDeepRecursion(t *testing.T) {
+	const depth = 10000
+	ss := NewShadowStack(0)
+	for d := 0; d < depth; d++ {
+		ss.AllocateFrame(1)
+		ss.SetArg(1, Bounds{Base: uint64(d), Bound: uint64(d) + 1})
+		ss.SetRet(Bounds{Base: uint64(d), Bound: uint64(d) + 2})
+	}
+	for d := depth - 1; d >= 0; d-- {
+		if got := ss.Arg(1); got.Base != uint64(d) {
+			t.Fatalf("depth %d arg = %+v", d, got)
+		}
+		if got := ss.Ret(); got.Bound != uint64(d)+2 {
+			t.Fatalf("depth %d ret = %+v", d, got)
+		}
+		ss.PopFrame()
+	}
+	if ss.Depth() != 0 {
+		t.Errorf("depth %d after unwinding, want 0", ss.Depth())
+	}
+}
+
 // Property: a sequence of balanced frames always restores the previous
 // frame's contents after popping.
 func TestShadowStackBalanceProperty(t *testing.T) {

@@ -312,7 +312,7 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 	v.LF = lowfat.NewAllocator(v.Std)
 	if opts.Mechanism == MechSoftBound {
 		v.Trie = softbound.NewTrie()
-		v.Shadow = softbound.NewShadowStack(1 << 16)
+		v.Shadow = softbound.NewShadowStack(0) // one frame; grows with call depth
 	}
 	if opts.Stdout != nil {
 		v.stdout = opts.Stdout

@@ -37,7 +37,7 @@ func TestProfiledCompilerGate(t *testing.T) {
 					t.Fatal(err)
 				}
 				start := time.Now()
-				if _, rerr := bytecode.RunOn(bytecode.EngineCompiler, machine, c.key); rerr != nil {
+				if rerr := c.run(bytecode.EngineCompiler, machine); rerr != nil {
 					t.Fatalf("%s: %v", c.key, rerr)
 				}
 				d += time.Since(start)
