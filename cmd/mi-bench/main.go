@@ -97,7 +97,7 @@ func main() {
 		vmMemBudget = flag.Uint64("vm-mem-budget", 1<<30, "per-variant VM memory budget in bytes (0 = unlimited)")
 		vmMaxSteps  = flag.Uint64("vm-max-steps", 1<<30, "per-variant VM step limit")
 
-		engineName = flag.String("engine", "bytecode", "execution engine: tree (reference interpreter) or bytecode")
+		engineName = flag.String("engine", "bytecode", "execution engine: tree (reference interpreter), bytecode, or compiler (bytecode plus native code)")
 		jobs       = flag.Int("j", 0, "max concurrent benchmark cells (0 = default of 8)")
 		jsonOut    = flag.String("json", "", "write per-benchmark counts and wall times to this JSON file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")

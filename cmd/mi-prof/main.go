@@ -33,8 +33,8 @@
 //
 // With -tiers, the execution-tier attribution a compiler-engine campaign
 // embeds in its report is rendered: per function, how many instructions
-// retired in quickened superinstructions, trace-fused loops, and generated
-// native code, plus the native tier's build ledger and fallback reasons:
+// retired in generated native code (the rest ran on the bytecode dispatch
+// loop), plus the native tier's build ledger and fallback reasons:
 //
 //	mi-bench -fig9 -engine=compiler -json perf.json
 //	mi-prof -tiers perf.json
@@ -53,9 +53,9 @@ import (
 
 func main() {
 	var (
-		topN   = flag.Int("top", 10, "sites per (benchmark, config) cell (0 = all)")
-		bench  = flag.String("bench", "", "restrict to one benchmark")
-		config = flag.String("config", "", "restrict to one configuration label")
+		topN      = flag.Int("top", 10, "sites per (benchmark, config) cell (0 = all)")
+		bench     = flag.String("bench", "", "restrict to one benchmark")
+		config    = flag.String("config", "", "restrict to one configuration label")
 		report    = flag.Bool("report", false, "treat the input as a violation-report JSON and render it as text")
 		diff      = flag.Bool("diff", false, "compare two perf reports in canonical form (wall times zeroed); exit 1 on any difference")
 		noStatus  = flag.Bool("ignore-status", false, "with -diff, also ignore cell status and attempt history (compare measurements only: chaos run vs clean run)")

@@ -26,7 +26,7 @@ import (
 
 func main() {
 	verbose := flag.Bool("v", false, "print every case")
-	engineName := flag.String("engine", "bytecode", "execution engine: tree (reference interpreter) or bytecode")
+	engineName := flag.String("engine", "bytecode", "execution engine: tree (reference interpreter), bytecode, or compiler (bytecode plus native code)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *showVersion {

@@ -12,7 +12,7 @@ import (
 // TestCompilerPerfGate is the CI perf gate for the compiler tier: on the
 // smoke set (first spec benchmark, three campaign configs) the compiler
 // engine must run at least 3x faster than the bytecode engine. Both sides
-// are warmed first — compilation, quickening and the native-plugin build are
+// are warmed first — compilation and the native-plugin build are
 // one-time costs amortized across a campaign, and the timed region is
 // execution — and each side takes the best of three runs to shed scheduler
 // noise. Skipped under -short (the gate needs a quiet machine).
@@ -41,7 +41,7 @@ func TestCompilerPerfGate(t *testing.T) {
 				d += time.Since(start)
 			}
 			if rep == 0 {
-				continue // warm-up: compile, quicken, build native plugins
+				continue // warm-up: compile, build native plugins
 			}
 			if best == 0 || d < best {
 				best = d

@@ -169,13 +169,12 @@ func formatBenchEnginesMD(rep *engineBenchReport) string {
 	}
 	fmt.Fprintf(&sb, "| **geomean** | | | | **%.2fx** | **%.2fx** | **%.2fx** |\n",
 		rep.Geomean.BytecodeVsTree, rep.Geomean.CompilerVsBytecode, rep.Geomean.CompilerVsTree)
-	sb.WriteString("\nThe compiler tier adds three dispatch-elimination layers on top of the\n")
-	sb.WriteString("register bytecode: mined superinstruction pairs and superblock traces\n")
-	sb.WriteString("executed by fused handlers with batched accounting, in-place opcode\n")
-	sb.WriteString("quickening (width/mechanism-specialized memory and GEP ops), and — for\n")
-	sb.WriteString("hot code — whole functions lowered to generated Go compiled as a native\n")
-	sb.WriteString("plugin (`internal/bytecode/native_gen.go`), where registers are locals,\n")
-	sb.WriteString("branches are gotos and statistics commit in per-block batches.\n\n")
+	sb.WriteString("\nThe compiler engine is the register bytecode plus native code: whole\n")
+	sb.WriteString("functions lowered to generated Go compiled as a native plugin\n")
+	sb.WriteString("(`internal/bytecode/native_gen.go`), where registers are locals, branches\n")
+	sb.WriteString("are gotos and statistics commit in per-block batches. A function enters\n")
+	sb.WriteString("its native code at function entry; a function without native code runs\n")
+	sb.WriteString("on the bytecode dispatch loop.\n\n")
 	sb.WriteString("Every cell's full `vm.Stats` is asserted bit-identical across the three\n")
 	sb.WriteString("engines while these numbers are measured (the generator fails otherwise),\n")
 	sb.WriteString("so the speedups compare identical simulated work; exit codes, outputs,\n")

@@ -57,10 +57,8 @@ func LoopInvariant(l *Loop, v ir.Value) bool {
 }
 
 // CountedLoopsOf filters li down to the loops AnalyzeCountedLoop accepts,
-// preserving the deterministic FindLoops order. It is the shared handoff
-// between the IR-level loop clients: the check-hoisting pass consumes it to
-// place preheader range checks, and the bytecode compiler tier consumes it
-// to trace-fuse the same loops behind those hoisted checks.
+// preserving the deterministic FindLoops order. The check-hoisting pass
+// consumes it to place preheader range checks.
 func CountedLoopsOf(li *LoopInfo) []*CountedLoop {
 	var out []*CountedLoop
 	for _, l := range li.Loops {
@@ -69,15 +67,6 @@ func CountedLoopsOf(li *LoopInfo) []*CountedLoop {
 		}
 	}
 	return out
-}
-
-// CountedLoops recognizes every counted loop of f from scratch
-// (dominator tree + natural-loop discovery + AnalyzeCountedLoop).
-func CountedLoops(f *ir.Func) []*CountedLoop {
-	if len(f.Blocks) == 0 {
-		return nil
-	}
-	return CountedLoopsOf(FindLoops(f, NewDomTree(f)))
 }
 
 // AnalyzeCountedLoop recognizes l as a counted loop. It is deliberately

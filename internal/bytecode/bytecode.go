@@ -43,11 +43,11 @@ const (
 	EngineTree EngineKind = iota
 	// EngineBytecode is the compiled register-bytecode engine.
 	EngineBytecode
-	// EngineCompiler is the optimizing tier on top of the bytecode engine:
-	// the same lowering plus a per-function quickening pass that rewrites
-	// generic opcodes to specialized variants, fuses straight-line opcode
-	// runs into superinstructions with batched accounting, and trace-fuses
-	// counted loops into mega-ops (see quicken.go).
+	// EngineCompiler is the bytecode engine plus native code: the same
+	// lowering, and each function with native code (native_gen.go) enters it
+	// at function entry. A function without native code, a bailed native
+	// invocation and a program that cannot bind native code run on the
+	// bytecode dispatch loop.
 	EngineCompiler
 )
 
@@ -239,58 +239,6 @@ const (
 	// opErrRaw raises errs[x] without instruction accounting (fell-through
 	// block, phi without incoming).
 	opErrRaw
-
-	// --- quickened opcodes below this point ---
-	//
-	// Specialized variants produced by the compiler tier's quickening pass
-	// (quicken.go). They only ever appear inside a quickened overlay's
-	// superinstruction groups, executed by the group runner (quickrun.go);
-	// the generic dispatch loop never sees them. Each is semantically
-	// identical to its generic origin with type/width/shape baked in.
-
-	// Width-specialized loads/stores (suffix is the access width in bits):
-	// the page-cache fast path is inlined with a constant width, the
-	// address-space slow path keeps exact fault semantics.
-	opQLoad8  // dst = mem[a], 1 byte
-	opQLoad16 // dst = mem[a], 2 bytes
-	opQLoad32 // dst = mem[a], 4 bytes
-	opQLoad64 // dst = mem[a], 8 bytes
-	opQStore8
-	opQStore16
-	opQStore32
-	opQStore64
-
-	// Shape-specialized GEPs.
-	opQGEPC  // dst = a + imm (single constant offset)
-	opQGEPRC // dst = a + sext(b, wbits)*imm + x (scaled index + constant)
-
-	// Superinstruction micro-fusions: a shape-specialized GEP immediately
-	// feeding a width-specialized access of its result. The GEP result is
-	// still written (to register c) in case it has further uses.
-	opQLoadIdx8 // c = a + sext(b,wbits)*imm + x; dst = mem[c]
-	opQLoadIdx16
-	opQLoadIdx32
-	opQLoadIdx64
-	opQStoreIdx8 // c = a + sext(b,wbits)*imm + x; mem[c] = regs[dst]
-	opQStoreIdx16
-	opQStoreIdx32
-	opQStoreIdx64
-	opQLoadOff8 // c = a + imm; dst = mem[c]
-	opQLoadOff16
-	opQLoadOff32
-	opQLoadOff64
-	opQStoreOff8 // c = a + imm; mem[c] = regs[dst]
-	opQStoreOff16
-	opQStoreOff32
-	opQStoreOff64
-
-	// opTExit is a mid-trace conditional branch. While the branch stays on
-	// trace, execution falls through to the next slot; when it leaves, the
-	// trace's pre-committed suffix statics (instructions, cost, steps) are
-	// rolled back and the fused executor exits at the off-trace target.
-	// a = condition register, b = off-trace pc, x = 1 when the on-trace
-	// direction is the true edge.
-	opTExit
 )
 
 // opUncountedStart splits counted from synthetic opcodes for the dispatch
@@ -402,20 +350,11 @@ type Fn struct {
 	extCalls []extCall
 	aux      []fusedAux
 	errs     []errInfo
-
-	// Compiler-tier quickening state. loops carries the counted-loop pc
-	// geometry recorded at compile time (compiler tier only); quick holds
-	// the lazily built quickened overlay, published atomically so a Program
-	// shared across concurrent Engines quickens each function exactly once.
-	loops    []loopMeta
-	quick    atomic.Pointer[quickFn]
-	quickGen sync.Mutex
 }
 
 // Program is a compiled module. The bytecode itself is immutable after
 // Compile and may be shared by any number of Engines (each Engine binds its
-// own per-VM state); under the compiler tier each Fn additionally carries a
-// race-safe, build-once quickened overlay (see Fn.quick).
+// own per-VM state).
 type Program struct {
 	mod    *ir.Module
 	cm     vm.CostModel

@@ -47,9 +47,8 @@ const cacheLimit = 1024
 // rerun one module instance (perfbench's tracer, the root benchmarks). cm
 // may be nil for the default model; prof selects the site-profiling opcode
 // variants, rec the forensic-recording ones, and tier the execution engine
-// the program is compiled for (the compiler tier records trace-fusable loop
-// geometry and quickens lazily; any other tier normalizes to plain
-// bytecode).
+// the program is compiled for (the compiler tier binds native code; any
+// other tier normalizes to plain bytecode).
 func CompileCached(key string, mod *ir.Module, cm *vm.CostModel, prof, rec bool, tier EngineKind) *Program {
 	if cm == nil {
 		cm = vm.DefaultCostModel()

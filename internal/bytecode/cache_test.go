@@ -51,7 +51,7 @@ func TestCacheSingleflight(t *testing.T) {
 }
 
 // TestCacheDistinguishesTier: a key hit only counts when engine tier,
-// profiling and forensics state all match — a compiler-tier (quickening)
+// profiling and forensics state all match — a compiler-tier (native-binding)
 // program must never be served to a run that asked for plain bytecode, and
 // vice versa, even under a reused key.
 func TestCacheDistinguishesTier(t *testing.T) {

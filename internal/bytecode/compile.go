@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/analysis"
 	"repro/internal/ir"
 	"repro/internal/rt"
 	"repro/internal/vm"
@@ -29,10 +28,8 @@ func compileModule(mod *ir.Module, cm *vm.CostModel, prof, rec bool) *Program {
 }
 
 // compileTier is compileModule plus the engine-tier axis. The lowered
-// bytecode is identical across tiers; under EngineCompiler each function
-// additionally records the pc geometry of its counted loops (recognized by
-// analysis.AnalyzeCountedLoop on the source IR) so the quickening pass can
-// trace-fuse them without re-deriving CFG structure from flat ops.
+// bytecode is identical across tiers; the tier only decides whether an
+// Engine binds native code (NewEngine).
 func compileTier(mod *ir.Module, cm *vm.CostModel, prof, rec bool, tier EngineKind) *Program {
 	if cm == nil {
 		cm = vm.DefaultCostModel()
@@ -45,7 +42,7 @@ func compileTier(mod *ir.Module, cm *vm.CostModel, prof, rec bool, tier EngineKi
 		if f.IsDecl() {
 			continue
 		}
-		fn := compileFunc(f, cm, len(p.fns), prof, rec, tier)
+		fn := compileFunc(f, cm, len(p.fns), prof, rec)
 		p.fns = append(p.fns, fn)
 		p.byFunc[f] = fn
 	}
@@ -122,7 +119,7 @@ type fnc struct {
 	stubs     map[[2]*ir.Block]int
 }
 
-func compileFunc(f *ir.Func, cm *vm.CostModel, idx int, prof, rec bool, tier EngineKind) *Fn {
+func compileFunc(f *ir.Func, cm *vm.CostModel, idx int, prof, rec bool) *Fn {
 	c := &fnc{
 		f:         f,
 		cm:        cm,
@@ -154,78 +151,10 @@ func compileFunc(f *ir.Func, cm *vm.CostModel, idx int, prof, rec bool, tier Eng
 	// Pass 3: materialize phi-copy edge stubs and patch jump targets.
 	c.resolveEdges()
 	c.fn.nregs = c.fn.constBase + len(c.fn.consts)
-	if tier == EngineCompiler {
-		c.recordCountedLoops()
-	}
 	return c.fn
 }
 
 func (c *fnc) push(o op) { c.fn.ops = append(c.fn.ops, o) }
-
-// termPC locates the op lowered from block b's IR terminator (br/condbr
-// terminators are never fused, so identity on op.instr is exact). Returns -1
-// when the terminator was not lowered (e.g. replaced by a deferred error op).
-func (c *fnc) termPC(b *ir.Block) int32 {
-	term := b.Terminator()
-	if term == nil {
-		return -1
-	}
-	for pc := c.blockPC[b]; pc < len(c.fn.ops); pc++ {
-		o := &c.fn.ops[pc]
-		if o.instr == term {
-			switch o.code {
-			case opBr, opCondBr, opRet:
-				return int32(pc)
-			}
-			return -1
-		}
-	}
-	return -1
-}
-
-// recordCountedLoops runs the shared counted-loop recognition
-// (analysis.AnalyzeCountedLoop — the same analysis the check-hoisting pass
-// builds on) over the source IR and records the pc geometry of every loop
-// whose shape the quickening pass can trace-fuse: a header that is the only
-// exiting block, plus at most one body block (the latch). Op-level
-// eligibility (no calls, no deferred errors, no side entries) is re-verified
-// against the flat ops when the overlay is built; this pass only hands the
-// loop/trace metadata across the IR→bytecode boundary.
-func (c *fnc) recordCountedLoops() {
-	for _, cl := range analysis.CountedLoops(c.f) {
-		l := cl.Loop
-		m := loopMeta{hdrPC: -1, hdrTerm: -1, latchPC: -1, latchTerm: -1}
-		switch len(l.Body) {
-		case 1: // header == latch: the whole body lives in the header block
-			if cl.Latch != l.Header {
-				continue
-			}
-		case 2:
-			if cl.Latch == l.Header || !l.Contains(cl.Latch) {
-				continue
-			}
-			lp, ok := c.blockPC[cl.Latch]
-			if !ok {
-				continue
-			}
-			m.latchPC = int32(lp)
-			if m.latchTerm = c.termPC(cl.Latch); m.latchTerm < 0 {
-				continue
-			}
-		default:
-			continue
-		}
-		hp, ok := c.blockPC[l.Header]
-		if !ok {
-			continue
-		}
-		m.hdrPC = int32(hp)
-		if m.hdrTerm = c.termPC(l.Header); m.hdrTerm < 0 {
-			continue
-		}
-		c.fn.loops = append(c.fn.loops, m)
-	}
-}
 
 // raw interns a literal constant value into the pool.
 func (c *fnc) raw(val uint64) int32 {

@@ -29,12 +29,9 @@ type Engine struct {
 	// with the tree interpreter so both engines' profiles read identically.
 	prof []vm.SiteCount
 
-	// opt enables the compiler tier's quickened overlays (superinstructions
-	// and trace-fused loops). Coverage runs disable it: the fused paths skip
-	// per-op coverage marking, so they fall back to exact generic dispatch.
-	opt bool
 	// fb points at the running frame's low-fat fallback allocation list
-	// (saved/restored across calls); fused alloca ops append through it.
+	// (saved/restored across calls); the native gate's alloca appends
+	// through it.
 	fb *[]uint64
 
 	lfStack  bool
@@ -61,14 +58,6 @@ type Engine struct {
 	pageID uint64
 	page   *[mem.PageSize]byte
 
-	// Direct-mapped multi-way page cache for the compiler tier's quickened
-	// memory ops (qpWays slots, indexed by low page-number bits). Programs
-	// alternating between a few arrays on different pages thrash a
-	// one-entry cache into the address-space map lookup; a few ways absorb
-	// that. IDs are page number plus one so zero never matches.
-	qpageID [qpWays]uint64
-	qpages  [qpWays]*[mem.PageSize]byte
-
 	// nat is the native-tier binding (compiler tier; plain and site-profiled
 	// runs): the program's loaded plugin plus this engine's environment.
 	// natFn tracks the function currently executing natively, giving the
@@ -78,9 +67,9 @@ type Engine struct {
 	natFn *Fn
 
 	// tierFns, when non-nil (compiler tier), accumulates per-function tier
-	// attribution: instructions retired inside fused regions (split by entry
-	// unit kind) and native code, plus native entry/bail/gate counts. Merged
-	// into the process-wide table at the end of Run (tier.go).
+	// attribution: instructions retired by native code plus native
+	// entry/bail/gate counts. Merged into the process-wide table at the end
+	// of Run (tier.go).
 	tierFns []tierCount
 	// natGateInstrs accumulates the st.Instrs retired inside the current
 	// native frame's gate calls (the gated op itself plus everything nested
@@ -120,7 +109,6 @@ func NewEngine(p *Program, machine *vm.VM) (*Engine, error) {
 		cm:            machine.CostModel(),
 		st:            &machine.Stats,
 		cover:         opts.CoverInstrs,
-		opt:           p.tier == EngineCompiler && opts.CoverInstrs == nil,
 		prof:          machine.SiteProfile(),
 		lfStack:       opts.LowFatStack,
 		maxSteps:      machine.StepLimit(),
@@ -142,13 +130,14 @@ func NewEngine(p *Program, machine *vm.VM) (*Engine, error) {
 		}
 		e.consts[i] = cs
 	}
-	// Bind the native tier when the program supports it (compiler tier, no
-	// coverage; site-profiled programs lower with baked site commits, only
-	// forensics stays interpreter-only — native() counts the fallback
-	// reason). A nil result — build failure, disabled platform, policy —
-	// silently leaves the fused interpreter as the fastest tier; semantics
-	// never depend on the binding.
-	if e.opt {
+	// Bind the native tier when the program supports it: compiler tier and
+	// no coverage, because native code skips per-op coverage marking.
+	// Site-profiled programs lower with baked site commits; only forensics
+	// stays interpreter-only (native() counts the fallback reason). A nil
+	// result — build failure, disabled platform, policy — silently leaves
+	// every function on the bytecode dispatch loop; semantics never depend
+	// on the binding.
+	if p.tier == EngineCompiler && opts.CoverInstrs == nil {
 		e.tierFns = make([]tierCount, len(p.fns))
 		if np := p.native(); np != nil {
 			e.nat = &natBind{prog: np, env: e.newNatEnv()}
@@ -352,13 +341,8 @@ func b2u(b bool) uint64 {
 //
 // Under the compiler tier a function with native code enters it once, at
 // pc 0; a bail-out (step limit inside a batch, interrupt pending) ends the
-// run within one batch, so the rest of that invocation finishes here on
-// plain dispatch. A function without native code runs its quickened
-// overlay, built on its first such call: at superinstruction and
-// fused-loop entry points, execution switches to the batched fast paths in
-// quickrun.go whenever the entry condition shows the next interrupt poll
-// and the step limit are unreachable inside the fused region; otherwise
-// this loop runs the same ops one at a time with exact per-op accounting.
+// run within one batch, so the rest of that invocation finishes here. A
+// function without native code runs here from the start.
 func (e *Engine) exec(fn *Fn, args []uint64, fallback *[]uint64) (uint64, error) {
 	regs := e.getRegs(fn.nregs)
 	defer func() { e.free = append(e.free, regs) }()
@@ -370,51 +354,14 @@ func (e *Engine) exec(fn *Fn, args []uint64, fallback *[]uint64) (uint64, error)
 	cover := e.cover
 	ops := fn.ops
 	pc := 0
-	var q *quickFn
 	if code := e.natCode(fn); code != nil {
 		npc, ret, done, err := e.execNative(fn, code, regs)
 		if err != nil || done {
 			return ret, err
 		}
 		pc = npc
-	} else if e.opt {
-		q = fn.quicken()
 	}
 	for {
-		if q != nil {
-			if v := q.at[pc]; v != atNone {
-				entry := false
-				if v >= 0 {
-					s := &q.segs[v]
-					entry = e.intrCountdown > s.steps && e.steps+s.steps <= e.maxSteps
-				} else {
-					lp := &q.loops[loopIdx(v)]
-					entry = e.intrCountdown > lp.iterSteps && e.steps+lp.iterSteps <= e.maxSteps
-				}
-				if entry {
-					i0 := st.Instrs
-					npc, ret, done, err := e.runFused(fn, q, v, regs)
-					if e.tierFns != nil {
-						// Fused regions never contain calls (groupBreaker),
-						// so the delta is purely this function's retirement;
-						// chains are attributed to their entry unit's kind.
-						if v >= 0 {
-							e.tierFns[fn.idx].quick += st.Instrs - i0
-						} else {
-							e.tierFns[fn.idx].fused += st.Instrs - i0
-						}
-					}
-					if err != nil {
-						return 0, err
-					}
-					if done {
-						return ret, nil
-					}
-					pc = npc
-					continue
-				}
-			}
-		}
 		o := &ops[pc]
 		if o.code < opUncountedStart {
 			e.steps++

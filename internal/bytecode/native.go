@@ -30,8 +30,8 @@ import (
 // `go build -buildmode=plugin` into a content-addressed .so under the user
 // temp directory, and loaded with the plugin package. Every step can fail —
 // no go toolchain, no cgo, unsupported platform, an op shape the generator
-// does not handle — and every failure degrades silently to the fused
-// interpreter tier, which is semantically complete. The differential harness
+// does not handle — and every failure degrades silently to the bytecode
+// interpreter, which is semantically complete. The differential harness
 // therefore exercises the same observable behavior whether or not native
 // execution is available.
 
@@ -98,7 +98,7 @@ func natCount(f func(*NativeTierStats)) {
 // NativeBuildEvent is one timestamped native-tier build-pipeline event, kept
 // for trace rendering: "build" (a plugin compilation, with its wall
 // duration), "promote" (a program bound native code, instantaneous), or
-// "fallback:<reason>" (a program degraded to the fused interpreter).
+// "fallback:<reason>" (a program degraded to the bytecode interpreter).
 type NativeBuildEvent struct {
 	Hash   string
 	Kind   string

@@ -47,9 +47,8 @@ func tierRow(name string) bytecode.TierFnStats {
 // bit for bit: exit code, verdict (the interrupt at the same step), output,
 // vm.Stats and site profile. Native code is entered only
 // at function entry (main at most once per run, sum at most once per call),
-// the tier buckets never exceed the instructions retired, and functions
-// with native code are never quickened — a bailed invocation finishes on
-// plain dispatch.
+// and the native bucket never exceeds the instructions retired — a bailed
+// invocation finishes on plain dispatch.
 func TestNativeBailFinishesOnInterpreter(t *testing.T) {
 	m, vopts, _ := prepareSource(t, "natbail", natBailSrc, harness.PaperConfig(core.MechSoftBound))
 	vopts.SiteProfile = true
@@ -70,7 +69,6 @@ func TestNativeBailFinishesOnInterpreter(t *testing.T) {
 	}
 	stops = append(stops, stop{name: "interrupt", intr: true}, stop{name: "complete"})
 
-	fns0, _, _, _ := bytecode.QuickenStats()
 	var bails, entries uint64
 	for _, s := range stops {
 		o := vopts
@@ -130,7 +128,7 @@ func TestNativeBailFinishesOnInterpreter(t *testing.T) {
 		}
 		bucketed := tierSum(main1) - tierSum(main0) + tierSum(sum1) - tierSum(sum0)
 		if total1-total0 != got.stats.Instrs || bucketed > got.stats.Instrs {
-			t.Errorf("%s %d: tier total %d (quick+fused+native %d) for %d retired instructions",
+			t.Errorf("%s %d: tier total %d (native %d) for %d retired instructions",
 				s.name, s.maxSteps, total1-total0, bucketed, got.stats.Instrs)
 		}
 		bails += main1.NativeBails - main0.NativeBails + sum1.NativeBails - sum0.NativeBails
@@ -143,9 +141,6 @@ func TestNativeBailFinishesOnInterpreter(t *testing.T) {
 	if bails == 0 {
 		t.Error("no run bailed out of native code; the stops missed every native batch")
 	}
-	if fns1, _, _, _ := bytecode.QuickenStats(); fns1 != fns0 {
-		t.Errorf("quickened %d functions, want 0: every function here has native code", fns1-fns0)
-	}
 }
 
-func tierSum(r bytecode.TierFnStats) uint64 { return r.QuickInstrs + r.FusedInstrs + r.NativeInstrs }
+func tierSum(r bytecode.TierFnStats) uint64 { return r.NativeInstrs }

@@ -10,7 +10,7 @@ import (
 )
 
 // Native-tier fallback paths: every way the tier can be unavailable must
-// degrade silently to the fused interpreter — same exit code, same output —
+// degrade silently to the bytecode interpreter — same exit code, same output —
 // while counting the matching fallback reason exactly once per program.
 // These tests poke the package internals (the disabled flag, the in-process
 // build cache, the content-addressed artifact) to force each path

@@ -28,8 +28,7 @@ import (
 //     shadow-stack ops, range checks, dynamic GEPs via the one-op gate, and
 //     fault construction via dedicated error callbacks.
 //
-// Exactness follows the same argument as the fused interpreter tier
-// (quicken.go): a batch only commits after proving the step limit is not
+// Exactness: a batch only commits after proving the step limit is not
 // reachable inside it and handling at most one interrupt-countdown crossing
 // via the poll callback; when either condition fails the function bails out
 // to the generic interpreter at a valid op boundary, which then replays the

@@ -8,28 +8,26 @@ import (
 // Per-function tier attribution for the compiler execution tier.
 //
 // Every instruction a compiler-tier engine retires lands in exactly one
-// bucket: quick (fused regions entered through a superinstruction segment),
-// fused (fused regions entered through a trace-fused loop), native
-// (instructions the generated plugin code retired, excluding its gate
-// intervals), or interpreted (the residual: generic dispatch, gated ops, and
-// everything on engines where a faster tier declined). The engine collects
-// the first three per function with cheap delta measurements at tier
-// boundaries — fused regions contain no calls and native gate intervals are
-// subtracted — and merges them here at the end of every Run; the residual is
-// computed against the total so the generic dispatch loop pays nothing.
+// bucket: native (instructions the generated plugin code retired, excluding
+// its gate intervals) or interpreted (the residual: bytecode dispatch, gated
+// ops, and everything on engines where native code declined). The engine
+// collects the native bucket per function with a delta measurement around
+// each native entry — gate intervals subtracted — and merges it here at the
+// end of every Run; the residual is computed against the total so the
+// dispatch loop pays nothing.
 
 // tierCount is one function's per-engine accumulator.
 type tierCount struct {
-	quick, fused, native, entries, bails, gates uint64
+	native, entries, bails, gates uint64
 }
 
 // TierFnStats is one function's process-wide tier attribution.
 type TierFnStats struct {
 	// Func is the IR function name.
 	Func string
-	// QuickInstrs/FusedInstrs count instructions retired in fused regions,
-	// attributed to the entry unit's kind (superinstruction segment vs
-	// trace-fused loop; a chain that crosses kinds stays with its entry).
+	// QuickInstrs/FusedInstrs are always zero: the quickened and fused
+	// interpreter tiers they counted no longer exist. They stay because
+	// the perfbench module still reads them.
 	QuickInstrs uint64
 	FusedInstrs uint64
 	// NativeInstrs counts instructions the generated native code retired
@@ -58,7 +56,7 @@ func (e *Engine) tierMerge(total uint64) {
 	tierTotalInstrs += total
 	for i := range e.tierFns {
 		tc := &e.tierFns[i]
-		if tc.quick|tc.fused|tc.native|tc.entries|tc.bails|tc.gates == 0 {
+		if tc.native|tc.entries|tc.bails|tc.gates == 0 {
 			continue
 		}
 		name := e.p.fns[i].ir.Name
@@ -67,8 +65,6 @@ func (e *Engine) tierMerge(total uint64) {
 			row = &TierFnStats{Func: name}
 			tierFnAgg[name] = row
 		}
-		row.QuickInstrs += tc.quick
-		row.FusedInstrs += tc.fused
 		row.NativeInstrs += tc.native
 		row.NativeEntries += tc.entries
 		row.NativeBails += tc.bails
@@ -78,7 +74,7 @@ func (e *Engine) tierMerge(total uint64) {
 
 // TierStats returns the process-wide per-function tier attribution (sorted
 // by function name) and the total instruction count retired by compiler-tier
-// engines. Functions with no tiered execution are omitted.
+// engines. Functions that never entered native code are omitted.
 func TierStats() ([]TierFnStats, uint64) {
 	tierMu.Lock()
 	defer tierMu.Unlock()

@@ -182,8 +182,8 @@ func TestPerfReportTiers(t *testing.T) {
 	if rep.Tiers.TotalInstrs == 0 {
 		t.Fatal("tier table has zero total instructions")
 	}
-	quick, fused, native := rep.Tiers.TieredInstrs()
-	if got := quick + fused + native + rep.Tiers.InterpretedInstrs; got != rep.Tiers.TotalInstrs {
+	native := rep.Tiers.NativeInstrs()
+	if got := native + rep.Tiers.InterpretedInstrs; got != rep.Tiers.TotalInstrs {
 		t.Errorf("tier buckets sum to %d, total is %d (every instruction must land in exactly one tier)",
 			got, rep.Tiers.TotalInstrs)
 	}
@@ -192,7 +192,7 @@ func TestPerfReportTiers(t *testing.T) {
 		t.Fatal("report carries no metrics snapshot")
 	}
 	for tier, want := range map[string]uint64{
-		"quickened": quick, "fused": fused, "native": native, "interpreted": rep.Tiers.InterpretedInstrs,
+		"native": native, "interpreted": rep.Tiers.InterpretedInstrs,
 	} {
 		p := snap.Find("mi_tier_instrs", map[string]string{"tier": tier})
 		if p == nil {

@@ -7,8 +7,8 @@ import (
 )
 
 // TierTableNow snapshots the process-wide compiler-tier attribution into a
-// telemetry.TierTable: the per-function quick/fused/native instruction
-// buckets the engine collected, the interpreted residual, the native build
+// telemetry.TierTable: the per-function native instruction buckets the
+// engine collected, the interpreted residual, the native build
 // ledger, and the fallback-reason counts. Returns nil when no compiler-tier
 // engine has run (so uninstrumented reports carry no tiers block at all).
 func TierTableNow() *telemetry.TierTable {
@@ -29,17 +29,14 @@ func TierTableNow() *telemetry.TierTable {
 	for _, r := range rows {
 		t.Rows = append(t.Rows, telemetry.TierRow{
 			Func:          r.Func,
-			QuickInstrs:   r.QuickInstrs,
-			FusedInstrs:   r.FusedInstrs,
 			NativeInstrs:  r.NativeInstrs,
 			NativeEntries: r.NativeEntries,
 			NativeBails:   r.NativeBails,
 			GateOps:       r.GateOps,
 		})
 	}
-	quick, fused, native := t.TieredInstrs()
-	if tiered := quick + fused + native; total >= tiered {
-		t.InterpretedInstrs = total - tiered
+	if native := t.NativeInstrs(); total >= native {
+		t.InterpretedInstrs = total - native
 	}
 	if ns.FallbackBuildError|ns.FallbackPluginLoad|ns.FallbackDisabled|ns.FallbackPolicy != 0 {
 		t.Fallbacks = map[string]uint64{
@@ -81,7 +78,7 @@ func PublishNativeBuildSpans(tr *telemetry.Trace) {
 
 // PublishEngineTierMetrics refreshes the compiler-tier gauges from the
 // bytecode package's cumulative counters. The tier counters are process-wide
-// (quickening overlays and native plugins are shared across runners), so
+// (native plugins are shared across runners), so
 // they export as gauges set to the current totals rather than per-runner
 // counters. Called whenever a snapshot of the registry is about to be taken:
 // by Runner.PerfReport, by mi-bench's final -metrics render, and by the
@@ -91,27 +88,17 @@ func PublishEngineTierMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	fns, rewritten, superops, loops := bytecode.QuickenStats()
-	reg.Gauge("mi_engine_quickened_fns",
-		"Functions quickened by the compiler tier (process-wide total).").Set(int64(fns))
-	reg.Gauge("mi_engine_quickened_ops",
-		"Generic opcodes rewritten in place to specialized variants (process-wide total).").Set(int64(rewritten))
-	reg.Gauge("mi_engine_superops",
-		"Superinstructions formed: superblock trace segments plus fused adjacent pairs (process-wide total).").Set(int64(superops))
-	reg.Gauge("mi_engine_fused_loops",
-		"Counted loops trace-fused into mega-ops (process-wide total).").Set(int64(loops))
-
 	ns := bytecode.NativeStats()
 	reg.Gauge("mi_native_builds",
 		"Native plugins built by the compiler tier (process-wide total).").Set(int64(ns.Builds))
 	reg.Gauge("mi_native_cache_hits",
 		"Native plugins served from the content-addressed build cache (process-wide total).").Set(int64(ns.CacheHits))
 	reg.Gauge("mi_native_failures",
-		"Native-tier generation/build/load failures that fell back to the fused interpreter (process-wide total).").Set(int64(ns.Failures))
+		"Native-tier generation/build/load failures that fell back to the bytecode interpreter (process-wide total).").Set(int64(ns.Failures))
 	reg.Gauge("mi_native_build_ms",
 		"Cumulative wall time spent building native plugins, in milliseconds (process-wide total).").Set(int64(ns.BuildNS / 1e6))
 
-	const fallbackHelp = "Programs that wanted the native tier and fell back to the fused interpreter, by reason (process-wide total)."
+	const fallbackHelp = "Programs that wanted the native tier and fell back to the bytecode interpreter, by reason (process-wide total)."
 	for reason, n := range map[string]uint64{
 		bytecode.NativeFallbackBuildError: ns.FallbackBuildError,
 		bytecode.NativeFallbackPluginLoad: ns.FallbackPluginLoad,
@@ -122,23 +109,18 @@ func PublishEngineTierMetrics(reg *obs.Registry) {
 	}
 
 	rows, total := bytecode.TierStats()
-	var quick, fused, native uint64
-	var entries, bails, gates uint64
+	var native, entries, bails, gates uint64
 	for _, r := range rows {
-		quick += r.QuickInstrs
-		fused += r.FusedInstrs
 		native += r.NativeInstrs
 		entries += r.NativeEntries
 		bails += r.NativeBails
 		gates += r.GateOps
 	}
 	var interp uint64
-	if tiered := quick + fused + native; total >= tiered {
-		interp = total - tiered
+	if total >= native {
+		interp = total - native
 	}
 	const tierHelp = "Instructions retired by compiler-tier engines, by execution tier (process-wide total)."
-	reg.Gauge("mi_tier_instrs", tierHelp, obs.L("tier", "quickened")).Set(int64(quick))
-	reg.Gauge("mi_tier_instrs", tierHelp, obs.L("tier", "fused")).Set(int64(fused))
 	reg.Gauge("mi_tier_instrs", tierHelp, obs.L("tier", "native")).Set(int64(native))
 	reg.Gauge("mi_tier_instrs", tierHelp, obs.L("tier", "interpreted")).Set(int64(interp))
 	reg.Gauge("mi_tier_total_instrs",

@@ -291,10 +291,10 @@ type RegionState struct {
 // tail of the flight recorder.
 type ViolationReport struct {
 	// Mechanism/Kind/Ptr/Detail mirror the ViolationError the report rides.
-	Mechanism string `json:"mechanism"`
-	Kind      string `json:"kind"`
-	Ptr       uint64 `json:"ptr"`
-	Detail    string `json:"detail"`
+	Mechanism string     `json:"mechanism"`
+	Kind      string     `json:"kind"`
+	Ptr       uint64     `json:"ptr"`
+	Detail    string     `json:"detail"`
 	Access    AccessInfo `json:"access"`
 	// Alloc is nil when no allocation could be attributed (e.g. SoftBound
 	// null-bounds false positives, where the metadata miss *is* the story).

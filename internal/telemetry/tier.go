@@ -7,15 +7,10 @@ import (
 )
 
 // TierRow is one function's execution-tier attribution under the compiler
-// engine: how many instructions it retired in each acceleration tier, and how
-// often it crossed the native-tier boundary.
+// engine: how many instructions its native code retired, and how often it
+// crossed the native-tier boundary.
 type TierRow struct {
 	Func string `json:"func"`
-	// QuickInstrs/FusedInstrs count instructions retired inside fused
-	// regions, attributed by the entry unit's kind (superinstruction segment
-	// vs trace-fused loop).
-	QuickInstrs uint64 `json:"quick_instrs,omitempty"`
-	FusedInstrs uint64 `json:"fused_instrs,omitempty"`
 	// NativeInstrs counts instructions retired by the function's generated
 	// native code, gate intervals excluded.
 	NativeInstrs uint64 `json:"native_instrs,omitempty"`
@@ -28,16 +23,15 @@ type TierRow struct {
 }
 
 // TierTable is the compiler tier's attribution telemetry: where retired
-// instructions actually executed (quickened, fused, native, or plain
-// interpreted), per function, plus the native tier's build accounting and
-// the reasons it fell back to the fused interpreter. The counters are
+// instructions actually executed (native or interpreted), per function, plus
+// the native tier's build accounting and the reasons a program fell back to
+// the bytecode interpreter. The counters are
 // process-wide and cumulative, so the table is stripped by canonical report
 // diffs the same way wall-clock times are.
 type TierTable struct {
 	// TotalInstrs is the total instruction count retired by compiler-tier
-	// engines; InterpretedInstrs is the residual not claimed by any faster
-	// tier (generic dispatch, gated ops, functions below the fusion
-	// thresholds).
+	// engines; InterpretedInstrs is the residual not retired by native code
+	// (bytecode dispatch, gated ops, functions without native code).
 	TotalInstrs       uint64 `json:"total_instrs"`
 	InterpretedInstrs uint64 `json:"interpreted_instrs"`
 	// Native plugin build accounting: compilations run, content-addressed
@@ -54,11 +48,9 @@ type TierTable struct {
 	Rows []TierRow `json:"rows,omitempty"`
 }
 
-// TieredInstrs sums the instructions claimed by the accelerated tiers.
-func (t *TierTable) TieredInstrs() (quick, fused, native uint64) {
+// NativeInstrs sums the instructions retired by native code.
+func (t *TierTable) NativeInstrs() (native uint64) {
 	for _, r := range t.Rows {
-		quick += r.QuickInstrs
-		fused += r.FusedInstrs
 		native += r.NativeInstrs
 	}
 	return
@@ -69,11 +61,9 @@ func (t *TierTable) TieredInstrs() (quick, fused, native uint64) {
 // sorted hottest first.
 func (t *TierTable) Render() string {
 	var sb strings.Builder
-	quick, fused, native := t.TieredInstrs()
+	native := t.NativeInstrs()
 	fmt.Fprintf(&sb, "Execution tier attribution: %d instrs total\n", t.TotalInstrs)
-	fmt.Fprintf(&sb, "  quickened %d (%.1f%%)  fused %d (%.1f%%)  native %d (%.1f%%)  interpreted %d (%.1f%%)\n",
-		quick, tierPct(quick, t.TotalInstrs),
-		fused, tierPct(fused, t.TotalInstrs),
+	fmt.Fprintf(&sb, "  native %d (%.1f%%)  interpreted %d (%.1f%%)\n",
 		native, tierPct(native, t.TotalInstrs),
 		t.InterpretedInstrs, tierPct(t.InterpretedInstrs, t.TotalInstrs))
 	fmt.Fprintf(&sb, "  native plugins: %d built (%.1f ms wall), %d cache hits, %d failures\n",
@@ -95,23 +85,25 @@ func (t *TierTable) Render() string {
 		}
 	}
 	if len(t.Rows) == 0 {
-		sb.WriteString("no tiered execution recorded (engine was not -engine=compiler?)\n")
+		if t.TotalInstrs > 0 {
+			sb.WriteString("no function entered native code\n")
+		} else {
+			sb.WriteString("no tiered execution recorded (engine was not -engine=compiler?)\n")
+		}
 		return sb.String()
 	}
 	rows := append([]TierRow(nil), t.Rows...)
 	sort.Slice(rows, func(i, j int) bool {
-		a := rows[i].QuickInstrs + rows[i].FusedInstrs + rows[i].NativeInstrs
-		b := rows[j].QuickInstrs + rows[j].FusedInstrs + rows[j].NativeInstrs
-		if a != b {
+		if a, b := rows[i].NativeInstrs, rows[j].NativeInstrs; a != b {
 			return a > b
 		}
 		return rows[i].Func < rows[j].Func
 	})
-	fmt.Fprintf(&sb, "  %-20s  %14s  %14s  %14s  %8s  %6s  %8s\n",
-		"func", "quick", "fused", "native", "entries", "bails", "gates")
+	fmt.Fprintf(&sb, "  %-20s  %14s  %8s  %6s  %8s\n",
+		"func", "native", "entries", "bails", "gates")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "  %-20s  %14d  %14d  %14d  %8d  %6d  %8d\n",
-			r.Func, r.QuickInstrs, r.FusedInstrs, r.NativeInstrs,
+		fmt.Fprintf(&sb, "  %-20s  %14d  %8d  %6d  %8d\n",
+			r.Func, r.NativeInstrs,
 			r.NativeEntries, r.NativeBails, r.GateOps)
 	}
 	return sb.String()

@@ -249,9 +249,9 @@ type VM struct {
 	// Options.Forensics. allocs maps live allocation bases to their static
 	// allocation site and size; stack entries are overwritten on frame
 	// reuse rather than popped.
-	flight *telemetry.Flight
-	allocs map[uint64]allocRec
-	sp     uint64 // linear stack pointer (grows down)
+	flight   *telemetry.Flight
+	allocs   map[uint64]allocRec
+	sp       uint64 // linear stack pointer (grows down)
 	rng      uint64
 	steps    uint64
 	maxSteps uint64

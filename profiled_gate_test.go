@@ -13,8 +13,8 @@ import (
 // compiler tier: site profiling must not disqualify the native tier (the
 // generated code carries batched site-counter commits instead), so a
 // profiled compiler campaign on the smoke set must stay within 2x of the
-// unprofiled one. Both sides are warmed first (compilation, quickening and
-// the plugin builds — the profiled programs hash to different plugins — are
+// unprofiled one. Both sides are warmed first (compilation and the plugin
+// builds — the profiled programs hash to different plugins — are
 // one-time costs) and take the best of three runs. Skipped under -short.
 func TestProfiledCompilerGate(t *testing.T) {
 	if testing.Short() {
@@ -43,7 +43,7 @@ func TestProfiledCompilerGate(t *testing.T) {
 				d += time.Since(start)
 			}
 			if rep == 0 {
-				continue // warm-up: compile, quicken, build native plugins
+				continue // warm-up: compile, build native plugins
 			}
 			if best == 0 || d < best {
 				best = d
