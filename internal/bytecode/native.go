@@ -224,12 +224,21 @@ var natBuilt = map[string]string{} // plugin key -> .so path ("" = failed)
 // for the same platform and race mode, so all of them are part of the key.
 var natToolchain = fmt.Sprintf("%s %s/%s race=%t", runtime.Version(), runtime.GOOS, runtime.GOARCH, raceEnabled)
 
-// natKey is the plugin cache key: the sha256 of the toolchain identity and
-// the generated source. It names the cached .so and the plugin's module path.
+// natKey is the plugin cache key: the sha256 of the toolchain identity, a
+// newline and the generated source. It names the cached .so and the
+// plugin's module path. The parts stream through one hash, so the source is
+// never copied.
 func natKey(toolchain, src string) string {
-	sum := sha256.Sum256([]byte(toolchain + "\n" + src))
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	h.Write(natBytes(toolchain))
+	h.Write([]byte{'\n'})
+	h.Write(natBytes(src))
+	return hex.EncodeToString(h.Sum(nil))
 }
+
+// natBytes views s as bytes without copying it, for writers that only read
+// their argument.
+func natBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // natPluginPath is where the plugin with the given key is cached.
 func natPluginPath(key string) string {
@@ -287,7 +296,7 @@ func natBuildPlugin(key, src string) (string, error) {
 	if err := os.WriteFile(filepath.Join(work, "go.mod"), []byte(gomod), 0o666); err != nil {
 		return "", err
 	}
-	if err := os.WriteFile(filepath.Join(work, "plug.go"), []byte(src), 0o666); err != nil {
+	if err := os.WriteFile(filepath.Join(work, "plug.go"), natBytes(src), 0o666); err != nil {
 		return "", err
 	}
 	args := []string{"build", "-buildmode=plugin"}

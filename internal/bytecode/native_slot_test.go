@@ -18,7 +18,7 @@ import (
 // evict each other on every alternating access.
 func TestNativePageSlotsDistinct(t *testing.T) {
 	slot := func(addr uint64) uint64 {
-		expr := natSlotExpr(fmt.Sprintf("%#x", addr>>16+1))
+		expr := string(natSlotExpr(nil, fmt.Appendf(nil, "%#x", addr>>16+1)))
 		tv, err := types.Eval(token.NewFileSet(), nil, token.NoPos, expr)
 		if err != nil {
 			t.Fatalf("evaluating %s: %v", expr, err)
