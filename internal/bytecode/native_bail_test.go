@@ -8,6 +8,7 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/spec"
 	"repro/internal/vm"
 )
 
@@ -144,3 +145,85 @@ func TestNativeBailFinishesOnInterpreter(t *testing.T) {
 }
 
 func tierSum(r bytecode.TierFnStats) uint64 { return r.NativeInstrs }
+
+// bailSweepBenches are short, loop-heavy spec programs (2.8M to 5.3M
+// instructions per Fig. 9 cell) for TestNativeBailSweep. In each of them a
+// stale register read right after a bail changes the run within a batch:
+// a pointer or a bound feeds the next access or check.
+var bailSweepBenches = []string{"188ammp", "197parser", "445gobmk"}
+
+// TestNativeBailSweep stops loop-heavy spec programs under the three Fig. 9
+// configurations, with site profiling on, at every step limit from 1 to 512
+// and at 64 limits evenly spaced over the full run. Each stop inside a
+// native batch bails at the batch start, and the interpreter resumes on the
+// register file the bail stub spilled, so a stub that leaves out a register
+// the rest of the run reads shows as a divergence between the compiler and
+// bytecode engines: exit code, output, verdict, vm.Stats or site profile.
+// The bytecode engine is held to the tree reference by the differential
+// suite and TestStepLimitSweep.
+func TestNativeBailSweep(t *testing.T) {
+	cfgs := []harness.RunConfig{
+		harness.BaselineConfig(),
+		harness.PaperConfig(core.MechSoftBound),
+		harness.PaperConfig(core.MechLowFat),
+	}
+	for _, name := range bailSweepBenches {
+		b := spec.ByName(name)
+		for _, cfg := range cfgs {
+			t.Run(name+"/"+cfg.Label, func(t *testing.T) {
+				t.Parallel()
+				m, vopts, _ := prepare(t, b, cfg)
+				vopts.SiteProfile = true
+				progs := map[bytecode.EngineKind]*bytecode.Program{}
+				run := func(kind bytecode.EngineKind, maxSteps uint64) runOutcome {
+					o := vopts
+					o.MaxSteps = maxSteps
+					machine, err := vm.New(m, o)
+					if err != nil {
+						t.Fatalf("vm.New: %v", err)
+					}
+					p := progs[kind]
+					if p == nil {
+						p = bytecode.CompileCached("bailsweep|"+name+"|"+cfg.Label+"|"+kind.String(),
+							m, machine.CostModel(), true, false, kind)
+						progs[kind] = p
+					}
+					eng, err := bytecode.NewEngine(p, machine)
+					if err != nil {
+						t.Fatalf("NewEngine: %v", err)
+					}
+					code, rerr := eng.Run()
+					return runOutcome{code: code, output: machine.Output(), stats: machine.Stats,
+						sites: machine.SiteProfile(), err: rerr}
+				}
+				full := run(bytecode.EngineBytecode, 0)
+				if full.err != nil {
+					t.Fatalf("full run: %v", full.err)
+				}
+				var limits []uint64
+				for k := uint64(1); k <= 512; k++ {
+					limits = append(limits, k)
+				}
+				for i := uint64(1); i <= 64; i++ {
+					limits = append(limits, full.stats.Instrs*i/65)
+				}
+				for _, k := range limits {
+					ref, got := run(bytecode.EngineBytecode, k), run(bytecode.EngineCompiler, k)
+					if gv, rv := describeErr(got.err), describeErr(ref.err); gv != rv {
+						t.Fatalf("limit %d: compiler verdict %q, bytecode %q", k, gv, rv)
+					}
+					if got.code != ref.code || got.output != ref.output {
+						t.Fatalf("limit %d: compiler exit %d output %q, bytecode exit %d output %q",
+							k, got.code, got.output, ref.code, ref.output)
+					}
+					if got.stats != ref.stats {
+						t.Fatalf("limit %d: stats differ\ncompiler: %+v\nbytecode: %+v", k, got.stats, ref.stats)
+					}
+					if !slices.Equal(got.sites, ref.sites) {
+						t.Fatalf("limit %d: compiler site profile differs from bytecode's", k)
+					}
+				}
+			})
+		}
+	}
+}
