@@ -130,8 +130,14 @@ func (v *VM) exec(fr *frame) (uint64, error) {
 	for {
 		fr.curBlock = block
 		// Phase 1: evaluate all phis of the block against prev
-		// simultaneously (classic parallel-copy semantics).
-		phis := block.Phis()
+		// simultaneously (classic parallel-copy semantics). The phis are
+		// the block's leading instructions; slicing them in place keeps
+		// block entry allocation-free.
+		np := 0
+		for np < len(block.Instrs) && block.Instrs[np].Op == ir.OpPhi {
+			np++
+		}
+		phis := block.Instrs[:np]
 		if len(phis) > 0 {
 			var buf [8]uint64
 			vals := buf[:0]
