@@ -80,8 +80,8 @@ type natEnv = struct {
 // other register zero) and the engine's environment. It is entered only at
 // the function's first op. It returns the function's return value; a
 // bail-out back to the interpreter is signalled through
-// Cnt[cntBail]/Cnt[cntBailPC] with a nil error, after spilling every
-// register it wrote.
+// Cnt[cntBail]/Cnt[cntBailPC] with a nil error, after spilling the
+// registers it wrote that are live at the bail pc.
 type natFunc = func([]uint64, *natEnv) (uint64, error)
 
 // Counter-block indices. cntInstrs..cntMetaStores mirror the identically
