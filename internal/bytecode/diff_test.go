@@ -57,7 +57,7 @@ func prepareSource(t *testing.T, name, code string, cfg harness.RunConfig) (*ir.
 	return instrumentModule(t, name, m, cfg)
 }
 
-func instrumentModule(t *testing.T, name string, m *ir.Module, cfg harness.RunConfig) (*ir.Module, vm.Options, *core.Stats) {
+func instrumentModule(t testing.TB, name string, m *ir.Module, cfg harness.RunConfig) (*ir.Module, vm.Options, *core.Stats) {
 	t.Helper()
 	var stats *core.Stats
 	var hook func(*ir.Module)

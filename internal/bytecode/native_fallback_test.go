@@ -1,6 +1,8 @@
 package bytecode
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -205,5 +207,10 @@ func TestNativeKey(t *testing.T) {
 	}
 	if natKey(tc, src) != natKey(tc, src) {
 		t.Error("identical inputs gave different keys")
+	}
+	// The key spelling itself is part of the on-disk cache's contract:
+	// plugins built under it stay valid only while it is unchanged.
+	if sum := sha256.Sum256([]byte(tc + "\n" + src)); natKey(tc, src) != hex.EncodeToString(sum[:]) {
+		t.Errorf("key %s, want the sha256 of toolchain, newline and source", natKey(tc, src))
 	}
 }
