@@ -142,7 +142,7 @@ const (
 	// Memory.
 	opLoad   // dst = mem[a], wbits bytes
 	opStore  // mem[b] = a, wbits bytes
-	opAlloca // dst = alloca(imm * (a<0 ? 1 : regs[a])), align x
+	opAlloca // dst = alloca(imm * (a<0 ? 1 : regs[a])), align x; tracked under AllocSite when recording
 	opGEP    // dst = a + plan geps[x]
 	opGEPDyn // dst via runtime type walk gepDyns[x]
 
@@ -153,7 +153,11 @@ const (
 	opCallExt // extCalls[x]
 
 	// Fused runtime intrinsics (replicating internal/vm's mirt.go handlers,
-	// charged the call-instruction cost plus the handler cost).
+	// charged the call-instruction cost plus the handler cost). imm carries
+	// the SiteID of the check and metadata intrinsics; the ops the tree
+	// interpreter attributes to a site bump it through the nil-safe
+	// Engine.bumpSite, so a profiled program lowers to the same ops as a
+	// plain one.
 	opSBLoadBase  // dst = trie[a].base
 	opSBLoadBound // dst = trie[a].bound
 	opSBStoreMD   // trie[a] = {b, c}
@@ -183,31 +187,14 @@ const (
 	opLFCheckLoad  // check(a,b,c), then dst = mem[a]
 	opLFCheckStore // check(a,b,c), then mem[a] = regs[dst]
 
-	// Site-profiling twins of the check/metadata opcodes above, selected at
-	// compile time when vm.Options.SiteProfile is on: identical semantics
-	// plus a per-site counter bump keyed by imm (the SiteID baked in from
-	// ir.Instr.Site). Keeping them separate opcodes keeps the non-profiling
-	// dispatch loop entirely untouched.
-	opSBStoreMDProf
-	opSBCheckProf
-	opLFCheckProf
-	opLFCheckInvProf
-	opSBCheckLoadProf
-	opSBCheckStoreProf
-	opLFCheckLoadProf
-	opLFCheckStoreProf
-	opSBCheckRangeProf
-	opLFCheckRangeProf
-
-	// Forensic-recording twins, selected at compile time when
-	// vm.Options.Forensics is on. The check/metadata halves delegate to the
+	// Forensic-recording twins of the check/metadata opcodes, selected at
+	// compile time when vm.Options.Forensics is on. They delegate to the
 	// VM's recorded operations (internal/vm forensics.go), so flight-recorder
-	// events, allocation tracking and violation-report synthesis are shared
-	// with the tree interpreter and reports come out byte-identical across
-	// engines. opAllocaRec additionally registers the allocation under the
-	// instruction's AllocSite. As with the profiling twins, the plain
-	// dispatch loop stays entirely untouched when forensics is off.
-	opAllocaRec
+	// events, site counters and violation-report synthesis are shared with
+	// the tree interpreter and reports come out byte-identical across
+	// engines. These are the only opcode twins: allocation tracking is a
+	// branch in opAlloca, and site profiling a nil-safe bump in the plain
+	// ops.
 	opSBStoreMDRec
 	opSBCheckRec
 	opLFCheckRec
@@ -324,6 +311,7 @@ type extCall struct {
 type fusedAux struct {
 	in2   *ir.Instr
 	cost2 uint64
+	load  bool // a load into dst, else a store of regs[dst]
 }
 
 type errInfo struct {

@@ -45,8 +45,8 @@ const cacheLimit = 1024
 // CompileCached returns the compiled program for (key, mod, cm, prof, rec,
 // tier), compiling and caching on miss. It stays exported for callers that
 // rerun one module instance (perfbench's tracer, the root benchmarks). cm
-// may be nil for the default model; prof selects the site-profiling opcode
-// variants, rec the forensic-recording ones, and tier the execution engine
+// may be nil for the default model; prof marks a program for site-profiled
+// VMs, rec selects the forensic-recording opcodes, and tier the execution engine
 // the program is compiled for (the compiler tier binds native code; any
 // other tier normalizes to plain bytecode).
 func CompileCached(key string, mod *ir.Module, cm *vm.CostModel, prof, rec bool, tier EngineKind) *Program {

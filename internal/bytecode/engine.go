@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -30,8 +31,7 @@ type Engine struct {
 	prof []vm.SiteCount
 
 	// fb points at the running frame's low-fat fallback allocation list
-	// (saved/restored across calls); the native gate's alloca appends
-	// through it.
+	// (saved/restored across calls); alloca appends through it.
 	fb *[]uint64
 
 	lfStack  bool
@@ -240,7 +240,7 @@ func (e *Engine) call(fn *Fn, args []uint64) (uint64, error) {
 	var fallback []uint64
 	savedFB := e.fb
 	e.fb = &fallback
-	ret, err := e.exec(fn, args, &fallback)
+	ret, err := e.exec(fn, args)
 	e.fb = savedFB
 	e.frames = e.frames[:len(e.frames)-1]
 	e.vm.SetStackPointer(savedSP)
@@ -343,7 +343,11 @@ func b2u(b bool) uint64 {
 // pc 0; a bail-out (step limit inside a batch, interrupt pending) ends the
 // run within one batch, so the rest of that invocation finishes here. A
 // function without native code runs here from the start.
-func (e *Engine) exec(fn *Fn, args []uint64, fallback *[]uint64) (uint64, error) {
+//
+// The gate-class ops (those native code routes back to the host) have no
+// case here: they reach gate through the default case, so the dispatch
+// loop and the native gate share one implementation.
+func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 	regs := e.getRegs(fn.nregs)
 	defer func() { e.free = append(e.free, regs) }()
 	copy(regs[:fn.nparams], args)
@@ -496,34 +500,6 @@ func (e *Engine) exec(fn *Fn, args []uint64, fallback *[]uint64) (uint64, error)
 			}
 			st.Stores++
 
-		case opAlloca:
-			count := uint64(1)
-			if o.a >= 0 {
-				count = regs[o.a]
-			}
-			size := o.imm * count
-			if size == 0 {
-				size = 1
-			}
-			if e.lfStack {
-				addr, lowFat, err := e.vm.LF.StackAlloc(size)
-				if err != nil {
-					return 0, err
-				}
-				if !lowFat {
-					*fallback = append(*fallback, addr)
-				}
-				regs[o.dst] = addr
-			} else {
-				align := uint64(o.x)
-				nsp := (e.vm.StackPointer() - size) &^ (align - 1)
-				if nsp < mem.StackLimit {
-					return 0, e.rte(pc, o.instr, "stack overflow")
-				}
-				e.vm.SetStackPointer(nsp)
-				regs[o.dst] = nsp
-			}
-
 		case opGEP:
 			pl := &fn.geps[o.x]
 			addr := regs[o.a]
@@ -536,65 +512,11 @@ func (e *Engine) exec(fn *Fn, args []uint64, fallback *[]uint64) (uint64, error)
 				}
 			}
 			regs[o.dst] = addr
-		case opGEPDyn:
-			pl := &fn.gepDyns[o.x]
-			addr := regs[o.a]
-			ty := pl.srcTy
-			for i := range pl.idx {
-				idx := sext(regs[pl.idx[i].reg], pl.idx[i].sh)
-				if i == 0 {
-					addr += uint64(idx * int64(ty.Size()))
-					continue
-				}
-				switch ty.Kind {
-				case ir.ArrayKind:
-					ty = ty.Elem
-					addr += uint64(idx * int64(ty.Size()))
-				case ir.StructKind:
-					addr += uint64(ty.FieldOffset(int(idx)))
-					ty = ty.Fields[idx]
-				}
-			}
-			regs[o.dst] = addr
-
 		case opSelect:
 			if regs[o.a] != 0 {
 				regs[o.dst] = regs[o.b]
 			} else {
 				regs[o.dst] = regs[o.c]
-			}
-
-		case opCallInt:
-			ic := &fn.intCalls[o.x]
-			argv := make([]uint64, len(ic.args))
-			for i, r := range ic.args {
-				argv[i] = regs[r]
-			}
-			e.frames[len(e.frames)-1].pc = pc
-			ret, err := e.call(ic.fn, argv)
-			if err != nil {
-				return 0, err
-			}
-			if o.dst >= 0 {
-				regs[o.dst] = ret
-			}
-		case opCallExt:
-			ec := &fn.extCalls[o.x]
-			h := e.vm.External(ec.name)
-			if h == nil {
-				return 0, e.rte(pc, o.instr, "call to unknown external @"+ec.name)
-			}
-			argv := make([]uint64, len(ec.args))
-			for i, r := range ec.args {
-				argv[i] = regs[r]
-			}
-			e.frames[len(e.frames)-1].pc = pc
-			ret, err := h(e.vm, ec.instr, argv)
-			if err != nil {
-				return 0, err
-			}
-			if o.dst >= 0 {
-				regs[o.dst] = ret
 			}
 
 		case opSBLoadBase:
@@ -614,55 +536,12 @@ func (e *Engine) exec(fn *Fn, args []uint64, fallback *[]uint64) (uint64, error)
 		case opSBStoreMD:
 			st.MetaStores++
 			st.Cost += cm.SBMetaStore
+			e.bumpSite(o.imm, false, cm.SBMetaStore)
 			e.vm.Trie.Store(regs[o.a], softbound.Bounds{Base: regs[o.b], Bound: regs[o.c]})
 		case opSBCheck:
-			if err := e.sbCheck(st, cm, regs[o.a], regs[o.b], regs[o.c], regs[o.d]); err != nil {
+			if err := e.sbCheck(o.imm, regs[o.a], regs[o.b], regs[o.c], regs[o.d]); err != nil {
 				return 0, err
 			}
-		case opSBSSAlloc:
-			st.ShadowOps++
-			st.Cost += cm.SBShadowOp
-			e.vm.Shadow.AllocateFrame(int(regs[o.a]))
-		case opSBSSSetArg:
-			st.ShadowOps++
-			st.Cost += cm.SBShadowOp
-			e.vm.Shadow.SetArg(int(regs[o.a]), softbound.Bounds{Base: regs[o.b], Bound: regs[o.c]})
-		case opSBSSArgBase:
-			st.ShadowOps++
-			st.Cost += cm.SBShadowOp
-			if o.dst >= 0 {
-				regs[o.dst] = e.vm.Shadow.Arg(int(regs[o.a])).Base
-			} else {
-				_ = e.vm.Shadow.Arg(int(regs[o.a]))
-			}
-		case opSBSSArgBound:
-			st.ShadowOps++
-			st.Cost += cm.SBShadowOp
-			if o.dst >= 0 {
-				regs[o.dst] = e.vm.Shadow.Arg(int(regs[o.a])).Bound
-			} else {
-				_ = e.vm.Shadow.Arg(int(regs[o.a]))
-			}
-		case opSBSSSetRet:
-			st.ShadowOps++
-			st.Cost += cm.SBShadowOp
-			e.vm.Shadow.SetRet(softbound.Bounds{Base: regs[o.a], Bound: regs[o.b]})
-		case opSBSSRetBase:
-			st.ShadowOps++
-			st.Cost += cm.SBShadowOp
-			if o.dst >= 0 {
-				regs[o.dst] = e.vm.Shadow.Ret().Base
-			}
-		case opSBSSRetBound:
-			st.ShadowOps++
-			st.Cost += cm.SBShadowOp
-			if o.dst >= 0 {
-				regs[o.dst] = e.vm.Shadow.Ret().Bound
-			}
-		case opSBSSPop:
-			st.ShadowOps++
-			st.Cost += cm.SBShadowOp
-			e.vm.Shadow.PopFrame()
 
 		case opLFBase:
 			st.Cost += cm.LFBase
@@ -670,130 +549,36 @@ func (e *Engine) exec(fn *Fn, args []uint64, fallback *[]uint64) (uint64, error)
 				regs[o.dst] = lowfat.Base(regs[o.a])
 			}
 		case opLFCheck:
-			if err := lfCheck(st, cm, regs[o.a], regs[o.b], regs[o.c]); err != nil {
+			if err := e.lfCheck(o.imm, regs[o.a], regs[o.b], regs[o.c]); err != nil {
 				return 0, err
 			}
 		case opLFCheckInv:
 			ptr, base := regs[o.a], regs[o.b]
 			st.InvariantChecks++
 			st.Cost += cm.LFCheck
-			ok, wide := lowfat.Check(ptr, 1, base)
-			if !ok && !wide {
-				return 0, &vm.ViolationError{Mechanism: "lowfat", Kind: "invariant", Ptr: ptr,
-					Detail: fmt.Sprintf("escaping pointer is outside its object at base %#x (size %d)", base, lowfat.AllocSize(lowfat.RegionIndex(base)))}
-			}
-
-		case opSBCheckRange:
-			if _, err := vm.SBCheckRangeOp(st, cm, regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.d], regs[o.dst]); err != nil {
-				return 0, err
-			}
-		case opLFCheckRange:
-			if _, err := vm.LFCheckRangeOp(st, cm, regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.dst]); err != nil {
-				return 0, err
-			}
-
-		case opSBCheckLoad, opSBCheckStore:
-			if err := e.sbCheck(st, cm, regs[o.a], regs[o.b], regs[o.c], regs[o.d]); err != nil {
-				return 0, err
-			}
-			aux := &fn.aux[o.x]
-			e.steps++
-			e.intrCountdown--
-			if e.steps > e.maxSteps || e.intrCountdown == 0 {
-				if err := e.accessStop(pc, aux); err != nil {
-					return 0, err
-				}
-			}
-			st.Instrs++
-			st.Cost += aux.cost2
-			if cover != nil {
-				cover[aux.in2] = true
-			}
-			if o.code == opSBCheckLoad {
-				x, err := e.load(regs[o.a], o.wbits)
-				if err != nil {
-					return 0, err
-				}
-				st.Loads++
-				regs[o.dst] = x
-			} else {
-				if err := e.store(regs[o.a], o.wbits, regs[o.dst]); err != nil {
-					return 0, err
-				}
-				st.Stores++
-			}
-		case opLFCheckLoad, opLFCheckStore:
-			if err := lfCheck(st, cm, regs[o.a], regs[o.b], regs[o.c]); err != nil {
-				return 0, err
-			}
-			aux := &fn.aux[o.x]
-			e.steps++
-			e.intrCountdown--
-			if e.steps > e.maxSteps || e.intrCountdown == 0 {
-				if err := e.accessStop(pc, aux); err != nil {
-					return 0, err
-				}
-			}
-			st.Instrs++
-			st.Cost += aux.cost2
-			if cover != nil {
-				cover[aux.in2] = true
-			}
-			if o.code == opLFCheckLoad {
-				x, err := e.load(regs[o.a], o.wbits)
-				if err != nil {
-					return 0, err
-				}
-				st.Loads++
-				regs[o.dst] = x
-			} else {
-				if err := e.store(regs[o.a], o.wbits, regs[o.dst]); err != nil {
-					return 0, err
-				}
-				st.Stores++
-			}
-
-		case opSBStoreMDProf:
-			st.MetaStores++
-			st.Cost += cm.SBMetaStore
-			e.bumpSite(o.imm, false, cm.SBMetaStore)
-			e.vm.Trie.Store(regs[o.a], softbound.Bounds{Base: regs[o.b], Bound: regs[o.c]})
-		case opSBCheckProf:
-			if err := e.sbCheckProf(st, cm, o.imm, regs[o.a], regs[o.b], regs[o.c], regs[o.d]); err != nil {
-				return 0, err
-			}
-		case opLFCheckProf:
-			if err := e.lfCheckProf(st, cm, o.imm, regs[o.a], regs[o.b], regs[o.c]); err != nil {
-				return 0, err
-			}
-		case opLFCheckInvProf:
-			ptr, base := regs[o.a], regs[o.b]
-			st.InvariantChecks++
-			st.Cost += cm.LFCheck
 			e.bumpSite(o.imm, false, cm.LFCheck)
-			ok, wide := lowfat.Check(ptr, 1, base)
-			if !ok && !wide {
-				return 0, &vm.ViolationError{Mechanism: "lowfat", Kind: "invariant", Ptr: ptr,
-					Detail: fmt.Sprintf("escaping pointer is outside its object at base %#x (size %d)", base, lowfat.AllocSize(lowfat.RegionIndex(base)))}
+			if ok, wide := lowfat.Check(ptr, 1, base); !ok && !wide {
+				return 0, vm.LFInvariantViolation(ptr, base)
 			}
 
-		case opSBCheckRangeProf:
-			wide, err := vm.SBCheckRangeOp(st, cm, regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.d], regs[o.dst])
-			e.bumpSite(o.imm, wide, cm.SBCheck)
+		case opSBCheckLoad, opSBCheckStore, opLFCheckLoad, opLFCheckStore,
+			opSBCheckLoadRec, opSBCheckStoreRec, opLFCheckLoadRec, opLFCheckStoreRec:
+			var err error
+			switch o.code {
+			case opSBCheckLoad, opSBCheckStore:
+				err = e.sbCheck(o.imm, regs[o.a], regs[o.b], regs[o.c], regs[o.d])
+			case opLFCheckLoad, opLFCheckStore:
+				err = e.lfCheck(o.imm, regs[o.a], regs[o.b], regs[o.c])
+			case opSBCheckLoadRec, opSBCheckStoreRec:
+				err = e.vm.SBCheckRec(int32(o.imm), regs[o.a], regs[o.b], regs[o.c], regs[o.d])
+			default:
+				err = e.vm.LFCheckRec(int32(o.imm), regs[o.a], regs[o.b], regs[o.c])
+			}
 			if err != nil {
 				return 0, err
 			}
-		case opLFCheckRangeProf:
-			wide, err := vm.LFCheckRangeOp(st, cm, regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.dst])
-			e.bumpSite(o.imm, wide, cm.LFCheck)
-			if err != nil {
-				return 0, err
-			}
-
-		case opSBCheckLoadProf, opSBCheckStoreProf:
-			if err := e.sbCheckProf(st, cm, o.imm, regs[o.a], regs[o.b], regs[o.c], regs[o.d]); err != nil {
-				return 0, err
-			}
+			// The access half: an instruction of its own to the reference
+			// interpreter, with its own step, poll and coverage accounting.
 			aux := &fn.aux[o.x]
 			e.steps++
 			e.intrCountdown--
@@ -807,7 +592,7 @@ func (e *Engine) exec(fn *Fn, args []uint64, fallback *[]uint64) (uint64, error)
 			if cover != nil {
 				cover[aux.in2] = true
 			}
-			if o.code == opSBCheckLoadProf {
+			if aux.load {
 				x, err := e.load(regs[o.a], o.wbits)
 				if err != nil {
 					return 0, err
@@ -819,66 +604,6 @@ func (e *Engine) exec(fn *Fn, args []uint64, fallback *[]uint64) (uint64, error)
 					return 0, err
 				}
 				st.Stores++
-			}
-		case opLFCheckLoadProf, opLFCheckStoreProf:
-			if err := e.lfCheckProf(st, cm, o.imm, regs[o.a], regs[o.b], regs[o.c]); err != nil {
-				return 0, err
-			}
-			aux := &fn.aux[o.x]
-			e.steps++
-			e.intrCountdown--
-			if e.steps > e.maxSteps || e.intrCountdown == 0 {
-				if err := e.accessStop(pc, aux); err != nil {
-					return 0, err
-				}
-			}
-			st.Instrs++
-			st.Cost += aux.cost2
-			if cover != nil {
-				cover[aux.in2] = true
-			}
-			if o.code == opLFCheckLoadProf {
-				x, err := e.load(regs[o.a], o.wbits)
-				if err != nil {
-					return 0, err
-				}
-				st.Loads++
-				regs[o.dst] = x
-			} else {
-				if err := e.store(regs[o.a], o.wbits, regs[o.dst]); err != nil {
-					return 0, err
-				}
-				st.Stores++
-			}
-
-		case opAllocaRec:
-			count := uint64(1)
-			if o.a >= 0 {
-				count = regs[o.a]
-			}
-			size := o.imm * count
-			if size == 0 {
-				size = 1
-			}
-			if e.lfStack {
-				addr, lowFat, err := e.vm.LF.StackAlloc(size)
-				if err != nil {
-					return 0, err
-				}
-				if !lowFat {
-					*fallback = append(*fallback, addr)
-				}
-				e.vm.TrackAlloc(addr, size, o.instr.AllocSite)
-				regs[o.dst] = addr
-			} else {
-				align := uint64(o.x)
-				nsp := (e.vm.StackPointer() - size) &^ (align - 1)
-				if nsp < mem.StackLimit {
-					return 0, e.rte(pc, o.instr, "stack overflow")
-				}
-				e.vm.SetStackPointer(nsp)
-				e.vm.TrackAlloc(nsp, size, o.instr.AllocSite)
-				regs[o.dst] = nsp
 			}
 
 		case opSBStoreMDRec:
@@ -903,67 +628,6 @@ func (e *Engine) exec(fn *Fn, args []uint64, fallback *[]uint64) (uint64, error)
 		case opLFCheckRangeRec:
 			if err := e.vm.LFCheckRangeRec(int32(o.imm), regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.dst]); err != nil {
 				return 0, err
-			}
-
-		case opSBCheckLoadRec, opSBCheckStoreRec:
-			if err := e.vm.SBCheckRec(int32(o.imm), regs[o.a], regs[o.b], regs[o.c], regs[o.d]); err != nil {
-				return 0, err
-			}
-			aux := &fn.aux[o.x]
-			e.steps++
-			e.intrCountdown--
-			if e.steps > e.maxSteps || e.intrCountdown == 0 {
-				if err := e.accessStop(pc, aux); err != nil {
-					return 0, err
-				}
-			}
-			st.Instrs++
-			st.Cost += aux.cost2
-			if cover != nil {
-				cover[aux.in2] = true
-			}
-			if o.code == opSBCheckLoadRec {
-				x, err := e.load(regs[o.a], o.wbits)
-				if err != nil {
-					return 0, err
-				}
-				st.Loads++
-				regs[o.dst] = x
-			} else {
-				if err := e.store(regs[o.a], o.wbits, regs[o.dst]); err != nil {
-					return 0, err
-				}
-				st.Stores++
-			}
-		case opLFCheckLoadRec, opLFCheckStoreRec:
-			if err := e.vm.LFCheckRec(int32(o.imm), regs[o.a], regs[o.b], regs[o.c]); err != nil {
-				return 0, err
-			}
-			aux := &fn.aux[o.x]
-			e.steps++
-			e.intrCountdown--
-			if e.steps > e.maxSteps || e.intrCountdown == 0 {
-				if err := e.accessStop(pc, aux); err != nil {
-					return 0, err
-				}
-			}
-			st.Instrs++
-			st.Cost += aux.cost2
-			if cover != nil {
-				cover[aux.in2] = true
-			}
-			if o.code == opLFCheckLoadRec {
-				x, err := e.load(regs[o.a], o.wbits)
-				if err != nil {
-					return 0, err
-				}
-				st.Loads++
-				regs[o.dst] = x
-			} else {
-				if err := e.store(regs[o.a], o.wbits, regs[o.dst]); err != nil {
-					return 0, err
-				}
-				st.Stores++
 			}
 
 		case opBr:
@@ -1005,9 +669,160 @@ func (e *Engine) exec(fn *Fn, args []uint64, fallback *[]uint64) (uint64, error)
 				return 0, &vm.RuntimeError{Msg: ei.msg}
 			}
 			return 0, e.rte(pc, nil, ei.msg)
+
+		default:
+			if err := e.gate(fn, pc, regs); err != nil {
+				return 0, err
+			}
 		}
 		pc++
 	}
+}
+
+// errNotGate is gate's answer for an opcode outside the gate class.
+var errNotGate = errors.New("bytecode: gate on a non-gate opcode")
+
+// gate executes the gate-class op at pc: alloca, dynamic GEP, internal and
+// external calls, the shadow-stack ops and the hoisted range checks — the
+// ops native code hands back to the host (natClass natGate). The dispatch
+// loop reaches it through its default case and the native gate (gateOp)
+// calls it directly, each after its own accounting preamble, so these ops
+// have one implementation. Any other opcode returns errNotGate.
+func (e *Engine) gate(fn *Fn, pc int, regs []uint64) error {
+	o := &fn.ops[pc]
+	st, cm := e.st, e.cm
+	switch o.code {
+	case opAlloca:
+		count := uint64(1)
+		if o.a >= 0 {
+			count = regs[o.a]
+		}
+		size := o.imm * count
+		if size == 0 {
+			size = 1
+		}
+		var addr uint64
+		if e.lfStack {
+			a, lowFat, err := e.vm.LF.StackAlloc(size)
+			if err != nil {
+				return err
+			}
+			if !lowFat {
+				*e.fb = append(*e.fb, a)
+			}
+			addr = a
+		} else {
+			align := uint64(o.x)
+			addr = (e.vm.StackPointer() - size) &^ (align - 1)
+			if addr < mem.StackLimit {
+				return e.rte(pc, o.instr, "stack overflow")
+			}
+			e.vm.SetStackPointer(addr)
+		}
+		if e.p.rec {
+			e.vm.TrackAlloc(addr, size, o.instr.AllocSite)
+		}
+		regs[o.dst] = addr
+
+	case opGEPDyn:
+		pl := &fn.gepDyns[o.x]
+		addr := regs[o.a]
+		ty := pl.srcTy
+		for i := range pl.idx {
+			idx := sext(regs[pl.idx[i].reg], pl.idx[i].sh)
+			if i == 0 {
+				addr += uint64(idx * int64(ty.Size()))
+				continue
+			}
+			switch ty.Kind {
+			case ir.ArrayKind:
+				ty = ty.Elem
+				addr += uint64(idx * int64(ty.Size()))
+			case ir.StructKind:
+				addr += uint64(ty.FieldOffset(int(idx)))
+				ty = ty.Fields[idx]
+			}
+		}
+		regs[o.dst] = addr
+
+	case opCallInt:
+		ic := &fn.intCalls[o.x]
+		argv := make([]uint64, len(ic.args))
+		for i, r := range ic.args {
+			argv[i] = regs[r]
+		}
+		e.frames[len(e.frames)-1].pc = pc
+		ret, err := e.call(ic.fn, argv)
+		if err != nil {
+			return err
+		}
+		if o.dst >= 0 {
+			regs[o.dst] = ret
+		}
+	case opCallExt:
+		ec := &fn.extCalls[o.x]
+		h := e.vm.External(ec.name)
+		if h == nil {
+			return e.rte(pc, o.instr, "call to unknown external @"+ec.name)
+		}
+		argv := make([]uint64, len(ec.args))
+		for i, r := range ec.args {
+			argv[i] = regs[r]
+		}
+		e.frames[len(e.frames)-1].pc = pc
+		ret, err := h(e.vm, ec.instr, argv)
+		if err != nil {
+			return err
+		}
+		if o.dst >= 0 {
+			regs[o.dst] = ret
+		}
+
+	case opSBSSAlloc, opSBSSSetArg, opSBSSArgBase, opSBSSArgBound,
+		opSBSSSetRet, opSBSSRetBase, opSBSSRetBound, opSBSSPop:
+		st.ShadowOps++
+		st.Cost += cm.SBShadowOp
+		sh := e.vm.Shadow
+		switch o.code {
+		case opSBSSAlloc:
+			sh.AllocateFrame(int(regs[o.a]))
+		case opSBSSSetArg:
+			sh.SetArg(int(regs[o.a]), softbound.Bounds{Base: regs[o.b], Bound: regs[o.c]})
+		case opSBSSArgBase:
+			if b := sh.Arg(int(regs[o.a])); o.dst >= 0 {
+				regs[o.dst] = b.Base
+			}
+		case opSBSSArgBound:
+			if b := sh.Arg(int(regs[o.a])); o.dst >= 0 {
+				regs[o.dst] = b.Bound
+			}
+		case opSBSSSetRet:
+			sh.SetRet(softbound.Bounds{Base: regs[o.a], Bound: regs[o.b]})
+		case opSBSSRetBase:
+			if o.dst >= 0 {
+				regs[o.dst] = sh.Ret().Base
+			}
+		case opSBSSRetBound:
+			if o.dst >= 0 {
+				regs[o.dst] = sh.Ret().Bound
+			}
+		case opSBSSPop:
+			sh.PopFrame()
+		}
+
+	case opSBCheckRange:
+		wide, err := vm.SBCheckRangeOp(st, cm, regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.d], regs[o.dst])
+		e.bumpSite(o.imm, wide, cm.SBCheck)
+		return err
+	case opLFCheckRange:
+		wide, err := vm.LFCheckRangeOp(st, cm, regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.dst])
+		e.bumpSite(o.imm, wide, cm.LFCheck)
+		return err
+
+	default:
+		return errNotGate
+	}
+	return nil
 }
 
 // poll resets the interrupt countdown, which just reached zero, and reports
@@ -1032,26 +847,42 @@ func (e *Engine) accessStop(pc int, aux *fusedAux) error {
 	return e.poll()
 }
 
-// sbCheck replicates the mi_sb_check handler (statistics, wide-bounds
-// elision, violation formatting).
-func (e *Engine) sbCheck(st *vm.Stats, cm *vm.CostModel, ptr, width, base, bound uint64) error {
-	st.Checks++
-	st.Cost += cm.SBCheck
+// sbCheck replicates the mi_sb_check handler (statistics, site counter,
+// wide-bounds elision, violation).
+func (e *Engine) sbCheck(site, ptr, width, base, bound uint64) error {
+	e.st.Checks++
+	e.st.Cost += e.cm.SBCheck
 	b := softbound.Bounds{Base: base, Bound: bound}
+	e.bumpSite(site, b.IsWide(), e.cm.SBCheck)
 	if b.IsWide() {
-		st.WideChecks++
+		e.st.WideChecks++
 		return nil
 	}
 	if !b.Check(ptr, width) {
-		return &vm.ViolationError{Mechanism: "softbound", Kind: "deref", Ptr: ptr,
-			Detail: fmt.Sprintf("access of %d bytes outside bounds [%#x, %#x)", width, base, bound)}
+		return vm.SBDerefViolation(ptr, width, base, bound)
+	}
+	return nil
+}
+
+// lfCheck replicates the mi_lf_check handler.
+func (e *Engine) lfCheck(site, ptr, width, base uint64) error {
+	e.st.Checks++
+	e.st.Cost += e.cm.LFCheck
+	ok, wide := lowfat.Check(ptr, width, base)
+	e.bumpSite(site, wide, e.cm.LFCheck)
+	if wide {
+		e.st.WideChecks++
+		return nil
+	}
+	if !ok {
+		return vm.LFDerefViolation(ptr, width, base)
 	}
 	return nil
 }
 
 // bumpSite attributes one execution to site id in the shared per-site
-// profile. The profiling opcodes only exist in profiled programs, so e.prof
-// is non-nil whenever this runs; id 0 ("no site") is skipped.
+// profile, as the tree interpreter's handlers do. It is a no-op when the
+// program is not profiled (e.prof is nil) and for id 0 ("no site").
 func (e *Engine) bumpSite(id uint64, wide bool, cost uint64) {
 	if id == 0 || id >= uint64(len(e.prof)) {
 		return
@@ -1062,54 +893,4 @@ func (e *Engine) bumpSite(id uint64, wide bool, cost uint64) {
 	if wide {
 		sc.Wide++
 	}
-}
-
-// sbCheckProf is sbCheck plus the per-site counter bump.
-func (e *Engine) sbCheckProf(st *vm.Stats, cm *vm.CostModel, site, ptr, width, base, bound uint64) error {
-	st.Checks++
-	st.Cost += cm.SBCheck
-	b := softbound.Bounds{Base: base, Bound: bound}
-	e.bumpSite(site, b.IsWide(), cm.SBCheck)
-	if b.IsWide() {
-		st.WideChecks++
-		return nil
-	}
-	if !b.Check(ptr, width) {
-		return &vm.ViolationError{Mechanism: "softbound", Kind: "deref", Ptr: ptr,
-			Detail: fmt.Sprintf("access of %d bytes outside bounds [%#x, %#x)", width, base, bound)}
-	}
-	return nil
-}
-
-// lfCheckProf is lfCheck plus the per-site counter bump.
-func (e *Engine) lfCheckProf(st *vm.Stats, cm *vm.CostModel, site, ptr, width, base uint64) error {
-	st.Checks++
-	st.Cost += cm.LFCheck
-	ok, wide := lowfat.Check(ptr, width, base)
-	e.bumpSite(site, wide, cm.LFCheck)
-	if wide {
-		st.WideChecks++
-		return nil
-	}
-	if !ok {
-		return &vm.ViolationError{Mechanism: "lowfat", Kind: "deref", Ptr: ptr,
-			Detail: fmt.Sprintf("access of %d bytes outside object at base %#x (size %d)", width, base, lowfat.AllocSize(lowfat.RegionIndex(base)))}
-	}
-	return nil
-}
-
-// lfCheck replicates the mi_lf_check handler.
-func lfCheck(st *vm.Stats, cm *vm.CostModel, ptr, width, base uint64) error {
-	st.Checks++
-	st.Cost += cm.LFCheck
-	ok, wide := lowfat.Check(ptr, width, base)
-	if wide {
-		st.WideChecks++
-		return nil
-	}
-	if !ok {
-		return &vm.ViolationError{Mechanism: "lowfat", Kind: "deref", Ptr: ptr,
-			Detail: fmt.Sprintf("access of %d bytes outside object at base %#x (size %d)", width, base, lowfat.AllocSize(lowfat.RegionIndex(base)))}
-	}
-	return nil
 }

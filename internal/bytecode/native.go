@@ -14,8 +14,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/ir"
-	"repro/internal/lowfat"
 	"repro/internal/mem"
 	"repro/internal/softbound"
 	"repro/internal/vm"
@@ -357,16 +355,13 @@ func (e *Engine) newNatEnv() *natEnv {
 		e.vm.Trie.Store(a, softbound.Bounds{Base: base, Bound: bound})
 	}
 	ev.SBFail = func(ptr, width, base, bound uint64) error {
-		return &vm.ViolationError{Mechanism: "softbound", Kind: "deref", Ptr: ptr,
-			Detail: fmt.Sprintf("access of %d bytes outside bounds [%#x, %#x)", width, base, bound)}
+		return vm.SBDerefViolation(ptr, width, base, bound)
 	}
 	ev.LFFail = func(kind, ptr, width, base uint64) error {
 		if kind == 1 {
-			return &vm.ViolationError{Mechanism: "lowfat", Kind: "invariant", Ptr: ptr,
-				Detail: fmt.Sprintf("escaping pointer is outside its object at base %#x (size %d)", base, lowfat.AllocSize(lowfat.RegionIndex(base)))}
+			return vm.LFInvariantViolation(ptr, base)
 		}
-		return &vm.ViolationError{Mechanism: "lowfat", Kind: "deref", Ptr: ptr,
-			Detail: fmt.Sprintf("access of %d bytes outside object at base %#x (size %d)", width, base, lowfat.AllocSize(lowfat.RegionIndex(base)))}
+		return vm.LFDerefViolation(ptr, width, base)
 	}
 	ev.Rte = func(pc uint64) error { return e.natRte(int(pc)) }
 	ev.Gate = func(pc uint64, regs []uint64) error {
@@ -480,14 +475,13 @@ func (e *Engine) execNative(fn *Fn, code natFunc, regs []uint64) (npc int, ret u
 	return 0, r, true, nil
 }
 
-// gateOp executes the single op at pc through the interpreter with the exact
-// per-op accounting preamble, operating on the canonical register file. The
-// generated code routes every op the native tier does not inline through
-// here: calls, allocas, shadow-stack ops, hoisted range checks, dynamic
-// GEPs. Coverage runs never reach native code, so there is no cover mark.
+// gateOp executes the single op at pc with the exact per-op accounting
+// preamble, operating on the canonical register file. The generated code
+// routes every op the native tier does not inline through here: the
+// gate-class ops, which Engine.gate implements for the dispatch loop too.
+// Coverage runs never reach native code, so there is no cover mark.
 func (e *Engine) gateOp(fn *Fn, pc int, regs []uint64) error {
 	o := &fn.ops[pc]
-	st, cm := e.st, e.cm
 	e.steps++
 	if e.steps > e.maxSteps {
 		return e.rte(pc, o.instr, "step limit exceeded")
@@ -498,161 +492,7 @@ func (e *Engine) gateOp(fn *Fn, pc int, regs []uint64) error {
 			return err
 		}
 	}
-	st.Instrs++
-	st.Cost += o.cost
-
-	switch o.code {
-	case opAlloca:
-		count := uint64(1)
-		if o.a >= 0 {
-			count = regs[o.a]
-		}
-		size := o.imm * count
-		if size == 0 {
-			size = 1
-		}
-		if e.lfStack {
-			addr, lowFat, err := e.vm.LF.StackAlloc(size)
-			if err != nil {
-				return err
-			}
-			if !lowFat {
-				*e.fb = append(*e.fb, addr)
-			}
-			regs[o.dst] = addr
-		} else {
-			align := uint64(o.x)
-			nsp := (e.vm.StackPointer() - size) &^ (align - 1)
-			if nsp < mem.StackLimit {
-				return e.rte(pc, o.instr, "stack overflow")
-			}
-			e.vm.SetStackPointer(nsp)
-			regs[o.dst] = nsp
-		}
-
-	case opGEPDyn:
-		pl := &fn.gepDyns[o.x]
-		addr := regs[o.a]
-		ty := pl.srcTy
-		for i := range pl.idx {
-			idx := sext(regs[pl.idx[i].reg], pl.idx[i].sh)
-			if i == 0 {
-				addr += uint64(idx * int64(ty.Size()))
-				continue
-			}
-			switch ty.Kind {
-			case ir.ArrayKind:
-				ty = ty.Elem
-				addr += uint64(idx * int64(ty.Size()))
-			case ir.StructKind:
-				addr += uint64(ty.FieldOffset(int(idx)))
-				ty = ty.Fields[idx]
-			}
-		}
-		regs[o.dst] = addr
-
-	case opCallInt:
-		ic := &fn.intCalls[o.x]
-		argv := make([]uint64, len(ic.args))
-		for i, r := range ic.args {
-			argv[i] = regs[r]
-		}
-		e.frames[len(e.frames)-1].pc = pc
-		ret, err := e.call(ic.fn, argv)
-		if err != nil {
-			return err
-		}
-		if o.dst >= 0 {
-			regs[o.dst] = ret
-		}
-	case opCallExt:
-		ec := &fn.extCalls[o.x]
-		h := e.vm.External(ec.name)
-		if h == nil {
-			return e.rte(pc, o.instr, "call to unknown external @"+ec.name)
-		}
-		argv := make([]uint64, len(ec.args))
-		for i, r := range ec.args {
-			argv[i] = regs[r]
-		}
-		e.frames[len(e.frames)-1].pc = pc
-		ret, err := h(e.vm, ec.instr, argv)
-		if err != nil {
-			return err
-		}
-		if o.dst >= 0 {
-			regs[o.dst] = ret
-		}
-
-	case opSBSSAlloc:
-		st.ShadowOps++
-		st.Cost += cm.SBShadowOp
-		e.vm.Shadow.AllocateFrame(int(regs[o.a]))
-	case opSBSSSetArg:
-		st.ShadowOps++
-		st.Cost += cm.SBShadowOp
-		e.vm.Shadow.SetArg(int(regs[o.a]), softbound.Bounds{Base: regs[o.b], Bound: regs[o.c]})
-	case opSBSSArgBase:
-		st.ShadowOps++
-		st.Cost += cm.SBShadowOp
-		if o.dst >= 0 {
-			regs[o.dst] = e.vm.Shadow.Arg(int(regs[o.a])).Base
-		} else {
-			_ = e.vm.Shadow.Arg(int(regs[o.a]))
-		}
-	case opSBSSArgBound:
-		st.ShadowOps++
-		st.Cost += cm.SBShadowOp
-		if o.dst >= 0 {
-			regs[o.dst] = e.vm.Shadow.Arg(int(regs[o.a])).Bound
-		} else {
-			_ = e.vm.Shadow.Arg(int(regs[o.a]))
-		}
-	case opSBSSSetRet:
-		st.ShadowOps++
-		st.Cost += cm.SBShadowOp
-		e.vm.Shadow.SetRet(softbound.Bounds{Base: regs[o.a], Bound: regs[o.b]})
-	case opSBSSRetBase:
-		st.ShadowOps++
-		st.Cost += cm.SBShadowOp
-		if o.dst >= 0 {
-			regs[o.dst] = e.vm.Shadow.Ret().Base
-		}
-	case opSBSSRetBound:
-		st.ShadowOps++
-		st.Cost += cm.SBShadowOp
-		if o.dst >= 0 {
-			regs[o.dst] = e.vm.Shadow.Ret().Bound
-		}
-	case opSBSSPop:
-		st.ShadowOps++
-		st.Cost += cm.SBShadowOp
-		e.vm.Shadow.PopFrame()
-
-	case opSBCheckRange:
-		if _, err := vm.SBCheckRangeOp(st, cm, regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.d], regs[o.dst]); err != nil {
-			return err
-		}
-	case opLFCheckRange:
-		if _, err := vm.LFCheckRangeOp(st, cm, regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.dst]); err != nil {
-			return err
-		}
-
-	case opSBCheckRangeProf:
-		wide, err := vm.SBCheckRangeOp(st, cm, regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.d], regs[o.dst])
-		e.bumpSite(o.imm, wide, cm.SBCheck)
-		if err != nil {
-			return err
-		}
-	case opLFCheckRangeProf:
-		wide, err := vm.LFCheckRangeOp(st, cm, regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.dst])
-		e.bumpSite(o.imm, wide, cm.LFCheck)
-		if err != nil {
-			return err
-		}
-
-	default:
-		return &vm.RuntimeError{Msg: fmt.Sprintf("bytecode: native gate on unexpected opcode %d", o.code)}
-	}
-	return nil
+	e.st.Instrs++
+	e.st.Cost += o.cost
+	return e.gate(fn, pc, regs)
 }

@@ -81,8 +81,8 @@ const natEnvDecl = `type env = struct {
 // sites holds the site contribution of each op in the batch (id 0 for an op
 // without one; wide counts are dynamic and bump inline); they commit and
 // roll back with the same suffix discipline as the Cnt words, matching the
-// interpreter's bump-before-check order — a fault at a profiling op keeps
-// that op's own site commit.
+// interpreter's bump-before-check order — a fault at a check keeps that
+// op's own site commit.
 type natContrib struct {
 	in, co, st, ld, sr, ck, iv, ml, ms uint64
 	sites                              []natSiteContrib
@@ -126,15 +126,12 @@ func natClass(code opcode) int {
 		opLoad, opStore, opGEP, opSelect,
 		opSBLoadBase, opSBLoadBound, opSBStoreMD, opSBCheck,
 		opLFBase, opLFCheck, opLFCheckInv,
-		opSBCheckLoad, opSBCheckStore, opLFCheckLoad, opLFCheckStore,
-		opSBStoreMDProf, opSBCheckProf, opLFCheckProf, opLFCheckInvProf,
-		opSBCheckLoadProf, opSBCheckStoreProf, opLFCheckLoadProf, opLFCheckStoreProf:
+		opSBCheckLoad, opSBCheckStore, opLFCheckLoad, opLFCheckStore:
 		return natInline
-	case opAlloca, opAllocaRec, opGEPDyn, opCallInt, opCallExt,
+	case opAlloca, opGEPDyn, opCallInt, opCallExt,
 		opSBSSAlloc, opSBSSSetArg, opSBSSArgBase, opSBSSArgBound,
 		opSBSSSetRet, opSBSSRetBase, opSBSSRetBound, opSBSSPop,
-		opSBCheckRange, opLFCheckRange,
-		opSBCheckRangeProf, opLFCheckRangeProf:
+		opSBCheckRange, opLFCheckRange:
 		return natGate
 	case opBr, opCondBr, opRet, opErrInstr, opPhiCopy, opErrRaw:
 		return natTerm
@@ -152,7 +149,7 @@ func natGateIO(fn *Fn, o *op, reads, writes []int32) ([]int32, []int32, bool) {
 		}
 	}
 	switch o.code {
-	case opAlloca, opAllocaRec:
+	case opAlloca:
 		if o.a >= 0 {
 			reads = append(reads, o.a)
 		}
@@ -181,9 +178,9 @@ func natGateIO(fn *Fn, o *op, reads, writes []int32) ([]int32, []int32, bool) {
 	case opSBSSRetBase, opSBSSRetBound:
 		addDst()
 	case opSBSSPop:
-	case opSBCheckRange, opSBCheckRangeProf:
+	case opSBCheckRange:
 		reads = append(reads, o.a, o.b, o.x, o.c, o.d, o.dst)
-	case opLFCheckRange, opLFCheckRangeProf:
+	case opLFCheckRange:
 		reads = append(reads, o.a, o.b, o.x, o.c, o.dst)
 	default:
 		return reads, writes, false
@@ -192,8 +189,8 @@ func natGateIO(fn *Fn, o *op, reads, writes []int32) ([]int32, []int32, bool) {
 }
 
 // natContribOf computes the static accounting of one inline or terminator
-// op, and the profiled site it commits to (id 0 for none).
-func natContribOf(fn *Fn, cm *vm.CostModel, o *op) (natContrib, natSiteContrib) {
+// op, and, in a profiled program, the site it commits to (id 0 for none).
+func natContribOf(fn *Fn, cm *vm.CostModel, prof bool, o *op) (natContrib, natSiteContrib) {
 	if o.code >= opUncountedStart {
 		return natContrib{}, natSiteContrib{} // PhiCopy/ErrRaw account for themselves
 	}
@@ -205,38 +202,41 @@ func natContribOf(fn *Fn, cm *vm.CostModel, o *op) (natContrib, natSiteContrib) 
 		c.sr = 1
 	case opSBLoadBase, opSBLoadBound:
 		c.ml, c.co = 1, c.co+cm.SBMetaLoad
-	case opSBStoreMD, opSBStoreMDProf:
+	case opSBStoreMD:
 		c.ms, c.co = 1, c.co+cm.SBMetaStore
-	case opSBCheck, opSBCheckProf:
+	case opSBCheck:
 		c.ck, c.co = 1, c.co+cm.SBCheck
-	case opLFCheck, opLFCheckProf:
+	case opLFCheck:
 		c.ck, c.co = 1, c.co+cm.LFCheck
-	case opLFCheckInv, opLFCheckInvProf:
+	case opLFCheckInv:
 		c.iv, c.co = 1, c.co+cm.LFCheck
 	case opLFBase:
 		c.co += cm.LFBase
-	case opSBCheckLoad, opSBCheckLoadProf:
+	case opSBCheckLoad:
 		c.in, c.st, c.ck, c.ld = 2, 2, 1, 1
 		c.co += cm.SBCheck + fn.aux[o.x].cost2
-	case opSBCheckStore, opSBCheckStoreProf:
+	case opSBCheckStore:
 		c.in, c.st, c.ck, c.sr = 2, 2, 1, 1
 		c.co += cm.SBCheck + fn.aux[o.x].cost2
-	case opLFCheckLoad, opLFCheckLoadProf:
+	case opLFCheckLoad:
 		c.in, c.st, c.ck, c.ld = 2, 2, 1, 1
 		c.co += cm.LFCheck + fn.aux[o.x].cost2
-	case opLFCheckStore, opLFCheckStoreProf:
+	case opLFCheckStore:
 		c.in, c.st, c.ck, c.sr = 2, 2, 1, 1
 		c.co += cm.LFCheck + fn.aux[o.x].cost2
 	}
-	// Profiling twins account like their plain ops plus their own site.
-	// Site 0 means "no site", mirroring Engine.bumpSite.
+	// The ops the interpreter bumps a site for commit it here too. Site 0
+	// means "no site", mirroring Engine.bumpSite.
 	var s natSiteContrib
+	if !prof {
+		return c, s
+	}
 	switch o.code {
-	case opSBStoreMDProf:
+	case opSBStoreMD:
 		s = natSiteContrib{id: o.imm, ex: 1, co: cm.SBMetaStore}
-	case opSBCheckProf, opSBCheckLoadProf, opSBCheckStoreProf:
+	case opSBCheck, opSBCheckLoad, opSBCheckStore:
 		s = natSiteContrib{id: o.imm, ex: 1, co: cm.SBCheck}
-	case opLFCheckProf, opLFCheckInvProf, opLFCheckLoadProf, opLFCheckStoreProf:
+	case opLFCheck, opLFCheckInv, opLFCheckLoad, opLFCheckStore:
 		s = natSiteContrib{id: o.imm, ex: 1, co: cm.LFCheck}
 	}
 	return c, s
@@ -302,8 +302,9 @@ type natGen struct {
 	hdr []byte // a function's register declarations, inserted before its body
 	tab []byte // the Fns table, inserted before the functions
 
-	fn *Fn
-	cm *vm.CostModel
+	fn   *Fn
+	cm   *vm.CostModel
+	prof bool // the program is site-profiled: checks commit their sites
 	// used and written mark, per register of fn, the locals the body reads
 	// or writes (only written locals can need a spill on bail-out).
 	used, written []bool
@@ -566,7 +567,7 @@ func (g *natGen) emitBatch(units []int) {
 	g.unitSites = natResize(g.unitSites, n)
 	var tot natContrib
 	for j, pc := range units {
-		g.contribs[j], g.unitSites[j] = natContribOf(fn, g.cm, &ops[pc])
+		g.contribs[j], g.unitSites[j] = natContribOf(fn, g.cm, g.prof, &ops[pc])
 		tot.add(g.contribs[j])
 	}
 	pc0 := units[0]
@@ -847,12 +848,10 @@ func (g *natGen) emitOp(pc int, suf natContrib) {
 			g.tmp++
 			g.pf("{\n_, b%d := ev.TrieLookup(%s)\n%s = b%d\n}\n", t, g.r(o.a), g.w(o.dst), t)
 		}
-	case opSBStoreMD, opSBStoreMDProf:
+	case opSBStoreMD:
 		g.pf("ev.TrieStore(%s, %s, %s)\n", g.r(o.a), g.r(o.b), g.r(o.c))
 	case opSBCheck:
-		g.emitSBCheck(g.r(o.a), g.r(o.b), g.r(o.c), g.r(o.d), suf, 0)
-	case opSBCheckProf:
-		g.emitSBCheck(g.r(o.a), g.r(o.b), g.r(o.c), g.r(o.d), suf, o.imm)
+		g.emitSBCheck(g.r(o.a), g.r(o.b), g.r(o.c), g.r(o.d), suf, g.site(o))
 
 	case opLFBase:
 		if o.dst >= 0 {
@@ -862,59 +861,36 @@ func (g *natGen) emitOp(pc int, suf natContrib) {
 				t, g.r(o.a), t, t, g.w(o.dst), g.w(o.dst), g.r(o.a), t)
 		}
 	case opLFCheck:
-		g.emitLFCheck(g.r(o.a), g.r(o.b), g.r(o.c), suf, 0)
-	case opLFCheckProf:
-		g.emitLFCheck(g.r(o.a), g.r(o.b), g.r(o.c), suf, o.imm)
-	case opLFCheckInv, opLFCheckInvProf:
+		g.emitLFCheck(g.r(o.a), g.r(o.b), g.r(o.c), suf, g.site(o))
+	case opLFCheckInv:
 		t := g.tmp
 		g.tmp++
 		g.pf("{\nri%d := %s >> 35\nif ri%d >= 1 && ri%d <= 27 {\nsz%d := uint64(16) << (ri%d - 1)\nif %s-%s > sz%d-1 {\n%sreturn 0, ev.LFFail(1, %s, 0, %s)\n}\n}\n}\n",
 			t, g.r(o.b), t, t, t, t, g.r(o.a), g.r(o.b), t, suf, g.r(o.a), g.r(o.b))
 
-	case opSBCheckLoad, opSBCheckLoadProf:
-		site := uint64(0)
-		if o.code == opSBCheckLoadProf {
-			site = o.imm
+	case opSBCheckLoad, opSBCheckStore, opLFCheckLoad, opLFCheckStore:
+		// The check half owes the access half's unearned accounting if it
+		// fails; the access half owes its own load or store count.
+		isLoad := fn.aux[o.x].load
+		sufC, sufA := suf, suf
+		sufC.in, sufC.co = sufC.in+1, sufC.co+fn.aux[o.x].cost2
+		if isLoad {
+			sufC.ld++
+			sufA.ld++
+		} else {
+			sufC.sr++
+			sufA.sr++
 		}
-		sufC := suf
-		sufC.in, sufC.co, sufC.ld = sufC.in+1, sufC.co+fn.aux[o.x].cost2, sufC.ld+1
-		g.emitSBCheck(g.r(o.a), g.r(o.b), g.r(o.c), g.r(o.d), sufC, site)
-		sufL := suf
-		sufL.ld++
-		g.emitAccess(true, g.r(o.a), o.wbits, g.w(o.dst), sufL)
-	case opSBCheckStore, opSBCheckStoreProf:
-		site := uint64(0)
-		if o.code == opSBCheckStoreProf {
-			site = o.imm
+		if o.code == opSBCheckLoad || o.code == opSBCheckStore {
+			g.emitSBCheck(g.r(o.a), g.r(o.b), g.r(o.c), g.r(o.d), sufC, g.site(o))
+		} else {
+			g.emitLFCheck(g.r(o.a), g.r(o.b), g.r(o.c), sufC, g.site(o))
 		}
-		sufC := suf
-		sufC.in, sufC.co, sufC.sr = sufC.in+1, sufC.co+fn.aux[o.x].cost2, sufC.sr+1
-		g.emitSBCheck(g.r(o.a), g.r(o.b), g.r(o.c), g.r(o.d), sufC, site)
-		sufS := suf
-		sufS.sr++
-		g.emitAccess(false, g.r(o.a), o.wbits, g.r(o.dst), sufS)
-	case opLFCheckLoad, opLFCheckLoadProf:
-		site := uint64(0)
-		if o.code == opLFCheckLoadProf {
-			site = o.imm
+		if isLoad {
+			g.emitAccess(true, g.r(o.a), o.wbits, g.w(o.dst), sufA)
+		} else {
+			g.emitAccess(false, g.r(o.a), o.wbits, g.r(o.dst), sufA)
 		}
-		sufC := suf
-		sufC.in, sufC.co, sufC.ld = sufC.in+1, sufC.co+fn.aux[o.x].cost2, sufC.ld+1
-		g.emitLFCheck(g.r(o.a), g.r(o.b), g.r(o.c), sufC, site)
-		sufL := suf
-		sufL.ld++
-		g.emitAccess(true, g.r(o.a), o.wbits, g.w(o.dst), sufL)
-	case opLFCheckStore, opLFCheckStoreProf:
-		site := uint64(0)
-		if o.code == opLFCheckStoreProf {
-			site = o.imm
-		}
-		sufC := suf
-		sufC.in, sufC.co, sufC.sr = sufC.in+1, sufC.co+fn.aux[o.x].cost2, sufC.sr+1
-		g.emitLFCheck(g.r(o.a), g.r(o.b), g.r(o.c), sufC, site)
-		sufS := suf
-		sufS.sr++
-		g.emitAccess(false, g.r(o.a), o.wbits, g.r(o.dst), sufS)
 
 	case opBr:
 		g.pf("goto bb%d\n", o.b)
@@ -948,6 +924,15 @@ func (g *natGen) emitOp(pc int, suf natContrib) {
 	default:
 		g.ok = false
 	}
+}
+
+// site is the site a check op commits to: its SiteID in a profiled program,
+// 0 (none) otherwise.
+func (g *natGen) site(o *op) uint64 {
+	if g.prof {
+		return o.imm
+	}
+	return 0
 }
 
 func (g *natGen) emitGate(pc int) {
@@ -994,7 +979,7 @@ func (g *natGen) emitBlock(bi int) {
 		o := &fn.ops[pc]
 		switch natClass(o.code) {
 		case natTerm:
-			c, _ := natContribOf(fn, g.cm, o)
+			c, _ := natContribOf(fn, g.cm, g.prof, o)
 			if g.steps+c.st > natBatchMaxSteps {
 				g.flush()
 			}
@@ -1005,7 +990,7 @@ func (g *natGen) emitBlock(bi int) {
 			g.flush()
 			g.emitGate(pc)
 		case natInline:
-			c, _ := natContribOf(fn, g.cm, o)
+			c, _ := natContribOf(fn, g.cm, g.prof, o)
 			if g.steps+c.st > natBatchMaxSteps {
 				g.flush()
 			}
@@ -1273,7 +1258,7 @@ func natGenerate(p *Program) string {
 	fns := len(g.b)
 	g.tab = append(g.tab[:0], "var Fns = []func([]uint64, *env) (uint64, error){\n"...)
 	for i, fn := range p.fns {
-		g.fn, g.cm = fn, &p.cm
+		g.fn, g.cm, g.prof = fn, &p.cm, p.prof
 		if g.generate(i) {
 			g.tab = g.appendf(g.tab, "fn%d,\n", i)
 		} else {

@@ -15,8 +15,6 @@ package vm
 // engines, which the differential report-equality tests assert.
 
 import (
-	"fmt"
-
 	"repro/internal/ir"
 	"repro/internal/lowfat"
 	"repro/internal/rt"
@@ -96,9 +94,9 @@ func (v *VM) findAlloc(base, ptr uint64) (uint64, allocRec, bool) {
 	return 0, allocRec{}, false
 }
 
-// violation builds a ViolationError with an attached report.
-func (v *VM) violation(mech, kind string, ptr uint64, detail string, site int32, width, base, bound uint64) *ViolationError {
-	viol := &ViolationError{Mechanism: mech, Kind: kind, Ptr: ptr, Detail: detail}
+// violation attaches the report to viol (when forensics is on) and returns
+// it.
+func (v *VM) violation(viol *ViolationError, site int32, width, base, bound uint64) *ViolationError {
 	v.attachReport(viol, site, width, base, bound)
 	return viol
 }
@@ -174,9 +172,7 @@ func (v *VM) SBCheckRec(site int32, ptr, width, base, bound uint64) error {
 		return nil
 	}
 	if !b.Check(ptr, width) {
-		return v.violation("softbound", "deref", ptr,
-			fmt.Sprintf("access of %d bytes outside bounds [%#x, %#x)", width, base, bound),
-			site, width, base, bound)
+		return v.violation(SBDerefViolation(ptr, width, base, bound), site, width, base, bound)
 	}
 	v.recordCheck(site, ptr)
 	return nil
@@ -194,9 +190,7 @@ func (v *VM) LFCheckRec(site int32, ptr, width, base uint64) error {
 		return nil
 	}
 	if !ok {
-		return v.violation("lowfat", "deref", ptr,
-			fmt.Sprintf("access of %d bytes outside object at base %#x (size %d)", width, base, lowfat.AllocSize(lowfat.RegionIndex(base))),
-			site, width, base, 0)
+		return v.violation(LFDerefViolation(ptr, width, base), site, width, base, 0)
 	}
 	v.recordCheck(site, ptr)
 	return nil
@@ -213,9 +207,7 @@ func (v *VM) LFCheckInvRec(site int32, ptr, base uint64) error {
 		return nil
 	}
 	if !ok {
-		return v.violation("lowfat", "invariant", ptr,
-			fmt.Sprintf("escaping pointer is outside its object at base %#x (size %d)", base, lowfat.AllocSize(lowfat.RegionIndex(base))),
-			site, 0, base, 0)
+		return v.violation(LFInvariantViolation(ptr, base), site, 0, base, 0)
 	}
 	v.recordCheck(site, ptr)
 	return nil

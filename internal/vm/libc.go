@@ -198,10 +198,7 @@ func sbWrapperCheck(v *VM, argIdx int, ptr, width uint64) error {
 	}
 	if !b.Check(ptr, width) {
 		detail := fmt.Sprintf("wrapper access of %d bytes outside [%#x, %#x)", width, b.Base, b.Bound)
-		if v.allocs != nil {
-			return v.violation("softbound", "wrapper", ptr, detail, 0, width, b.Base, b.Bound)
-		}
-		return &ViolationError{Mechanism: "softbound", Kind: "wrapper", Ptr: ptr, Detail: detail}
+		return v.violation(&ViolationError{Mechanism: "softbound", Kind: "wrapper", Ptr: ptr, Detail: detail}, 0, width, b.Base, b.Bound)
 	}
 	return nil
 }

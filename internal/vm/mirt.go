@@ -45,8 +45,7 @@ func registerMIRuntime(v *VM) {
 			return 0, nil
 		}
 		if !b.Check(ptr, width) {
-			return 0, &ViolationError{Mechanism: "softbound", Kind: "deref", Ptr: ptr,
-				Detail: fmt.Sprintf("access of %d bytes outside bounds [%#x, %#x)", width, base, bound)}
+			return 0, SBDerefViolation(ptr, width, base, bound)
 		}
 		return 0, nil
 	})
@@ -116,8 +115,7 @@ func registerMIRuntime(v *VM) {
 			return 0, nil
 		}
 		if !ok {
-			return 0, &ViolationError{Mechanism: "lowfat", Kind: "deref", Ptr: ptr,
-				Detail: fmt.Sprintf("access of %d bytes outside object at base %#x (size %d)", width, base, lowfat.AllocSize(lowfat.RegionIndex(base)))}
+			return 0, LFDerefViolation(ptr, width, base)
 		}
 		return 0, nil
 	})
@@ -135,8 +133,7 @@ func registerMIRuntime(v *VM) {
 			// merely passed around — the usability problem of Section 4.2:
 			// programmers expect out-of-bounds *arithmetic* to be fine as
 			// long as the pointer is brought back in bounds before use.
-			return 0, &ViolationError{Mechanism: "lowfat", Kind: "invariant", Ptr: ptr,
-				Detail: fmt.Sprintf("escaping pointer is outside its object at base %#x (size %d)", base, lowfat.AllocSize(lowfat.RegionIndex(base)))}
+			return 0, LFInvariantViolation(ptr, base)
 		}
 		return 0, nil
 	})
@@ -145,6 +142,28 @@ func registerMIRuntime(v *VM) {
 		vm.bumpSite(call, wide, vm.cost.LFCheck)
 		return 0, err
 	})
+}
+
+// SBDerefViolation is the violation a failed SoftBound dereference check
+// raises. Every engine and tier builds it here, so verdict text is
+// identical wherever the check ran.
+func SBDerefViolation(ptr, width, base, bound uint64) *ViolationError {
+	return &ViolationError{Mechanism: "softbound", Kind: "deref", Ptr: ptr,
+		Detail: fmt.Sprintf("access of %d bytes outside bounds [%#x, %#x)", width, base, bound)}
+}
+
+// LFDerefViolation is the violation a failed Low-Fat dereference check
+// raises.
+func LFDerefViolation(ptr, width, base uint64) *ViolationError {
+	return &ViolationError{Mechanism: "lowfat", Kind: "deref", Ptr: ptr,
+		Detail: fmt.Sprintf("access of %d bytes outside object at base %#x (size %d)", width, base, lowfat.AllocSize(lowfat.RegionIndex(base)))}
+}
+
+// LFInvariantViolation is the violation a failed Low-Fat escape (invariant)
+// check raises.
+func LFInvariantViolation(ptr, base uint64) *ViolationError {
+	return &ViolationError{Mechanism: "lowfat", Kind: "invariant", Ptr: ptr,
+		Detail: fmt.Sprintf("escaping pointer is outside its object at base %#x (size %d)", base, lowfat.AllocSize(lowfat.RegionIndex(base)))}
 }
 
 // SBCheckRangeOp implements the hoisted SoftBound range check: the access
