@@ -154,10 +154,11 @@ const (
 
 	// Fused runtime intrinsics (replicating internal/vm's mirt.go handlers,
 	// charged the call-instruction cost plus the handler cost). imm carries
-	// the SiteID of the check and metadata intrinsics; the ops the tree
-	// interpreter attributes to a site bump it through the nil-safe
-	// Engine.bumpSite, so a profiled program lowers to the same ops as a
-	// plain one.
+	// the SiteID of the check and metadata intrinsics, which call the VM's
+	// runtime operation for that intrinsic — the one the tree interpreter's
+	// handler calls. It bumps the site profile and records forensics only
+	// when the VM does, so plain, profiled and forensic programs lower to
+	// the same ops; the range checks below call it from Engine.gate.
 	opSBLoadBase  // dst = trie[a].base
 	opSBLoadBound // dst = trie[a].bound
 	opSBStoreMD   // trie[a] = {b, c}
@@ -186,25 +187,6 @@ const (
 	opSBCheckStore // check(a,b,c,d), then mem[a] = regs[dst]
 	opLFCheckLoad  // check(a,b,c), then dst = mem[a]
 	opLFCheckStore // check(a,b,c), then mem[a] = regs[dst]
-
-	// Forensic-recording twins of the check/metadata opcodes, selected at
-	// compile time when vm.Options.Forensics is on. They delegate to the
-	// VM's recorded operations (internal/vm forensics.go), so flight-recorder
-	// events, site counters and violation-report synthesis are shared with
-	// the tree interpreter and reports come out byte-identical across
-	// engines. These are the only opcode twins: allocation tracking is a
-	// branch in opAlloca, and site profiling a nil-safe bump in the plain
-	// ops.
-	opSBStoreMDRec
-	opSBCheckRec
-	opLFCheckRec
-	opLFCheckInvRec
-	opSBCheckLoadRec
-	opSBCheckStoreRec
-	opLFCheckLoadRec
-	opLFCheckStoreRec
-	opSBCheckRangeRec
-	opLFCheckRangeRec
 
 	// Control flow.
 	opBr     // pc = b

@@ -45,10 +45,11 @@ const cacheLimit = 1024
 // CompileCached returns the compiled program for (key, mod, cm, prof, rec,
 // tier), compiling and caching on miss. It stays exported for callers that
 // rerun one module instance (perfbench's tracer, the root benchmarks). cm
-// may be nil for the default model; prof marks a program for site-profiled
-// VMs, rec selects the forensic-recording opcodes, and tier the execution engine
-// the program is compiled for (the compiler tier binds native code; any
-// other tier normalizes to plain bytecode).
+// may be nil for the default model; prof and rec mark a program for
+// site-profiled and forensic VMs (the lowering is the same; rec also keeps
+// the program off native code), and tier selects the execution engine the
+// program is compiled for (the compiler tier binds native code; any other
+// tier normalizes to plain bytecode).
 func CompileCached(key string, mod *ir.Module, cm *vm.CostModel, prof, rec bool, tier EngineKind) *Program {
 	if cm == nil {
 		cm = vm.DefaultCostModel()

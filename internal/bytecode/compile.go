@@ -17,14 +17,11 @@ func Compile(mod *ir.Module, cm *vm.CostModel) *Program {
 	return compileModule(mod, cm, false, false)
 }
 
-// compileModule is Compile plus the site-profiling and forensics axes. prof
-// does not change the lowering: every check and metadata op carries its
-// SiteID in imm, and those the tree interpreter attributes to a site bump it
-// through a nil-safe counter, so prof only records which VMs the program may
-// bind. With rec set, check and
-// metadata intrinsics lower to the forensic-recording twins (which bump the
-// site profile themselves, so the two axes compose); everything else is
-// identical.
+// compileModule is Compile plus the site-profiling and forensics axes.
+// Neither changes the lowering: every check and metadata op carries its
+// SiteID in imm and calls the VM's runtime operation, which bumps the site
+// profile and records forensics only when the bound VM does. prof and rec
+// only record which VMs the program may bind.
 func compileModule(mod *ir.Module, cm *vm.CostModel, prof, rec bool) *Program {
 	return compileTier(mod, cm, prof, rec, EngineBytecode)
 }
@@ -44,7 +41,7 @@ func compileTier(mod *ir.Module, cm *vm.CostModel, prof, rec bool, tier EngineKi
 		if f.IsDecl() {
 			continue
 		}
-		fn := compileFunc(f, cm, len(p.fns), rec)
+		fn := compileFunc(f, cm, len(p.fns))
 		p.fns = append(p.fns, fn)
 		p.byFunc[f] = fn
 	}
@@ -109,7 +106,6 @@ type fixup struct {
 type fnc struct {
 	f         *ir.Func
 	cm        *vm.CostModel
-	rec       bool
 	fn        *Fn
 	instrReg  map[*ir.Instr]int32
 	rawReg    map[uint64]int32
@@ -120,11 +116,10 @@ type fnc struct {
 	stubs     map[[2]*ir.Block]int
 }
 
-func compileFunc(f *ir.Func, cm *vm.CostModel, idx int, rec bool) *Fn {
+func compileFunc(f *ir.Func, cm *vm.CostModel, idx int) *Fn {
 	c := &fnc{
 		f:         f,
 		cm:        cm,
-		rec:       rec,
 		fn:        &Fn{idx: idx, ir: f, nparams: len(f.Params)},
 		instrReg:  make(map[*ir.Instr]int32),
 		rawReg:    make(map[uint64]int32),
@@ -363,42 +358,8 @@ func (c *fnc) tryFuse(in, next *ir.Instr) bool {
 	if isLoad && o.dst < 0 {
 		return false
 	}
-	if c.rec {
-		o.code = recVariant(o.code)
-	}
 	c.push(o)
 	return true
-}
-
-// recVariant maps a check/metadata opcode to its forensic-recording twin;
-// opcodes without one pass through unchanged. The recording twins bump the
-// site profile themselves (through the VM's nil-safe bumpSiteID), so rec
-// subsumes prof. Allocas need no twin: opAlloca tracks the allocation
-// itself when the program records.
-func recVariant(code opcode) opcode {
-	switch code {
-	case opSBStoreMD:
-		return opSBStoreMDRec
-	case opSBCheck:
-		return opSBCheckRec
-	case opLFCheck:
-		return opLFCheckRec
-	case opLFCheckInv:
-		return opLFCheckInvRec
-	case opSBCheckLoad:
-		return opSBCheckLoadRec
-	case opSBCheckStore:
-		return opSBCheckStoreRec
-	case opLFCheckLoad:
-		return opLFCheckLoadRec
-	case opLFCheckStore:
-		return opLFCheckStoreRec
-	case opSBCheckRange:
-		return opSBCheckRangeRec
-	case opLFCheckRange:
-		return opLFCheckRangeRec
-	}
-	return code
 }
 
 var binOps = map[ir.Op]opcode{
@@ -704,9 +665,6 @@ func (c *fnc) emitCall(in *ir.Instr, cost uint64, dst int32) {
 		fused = false
 	}
 	if fused {
-		if c.rec {
-			o.code = recVariant(o.code)
-		}
 		c.push(o)
 		return
 	}

@@ -3,6 +3,7 @@ package bytecode_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -456,9 +457,10 @@ func reportOf(t *testing.T, kind bytecode.EngineKind, o runOutcome) *telemetry.V
 }
 
 // TestDifferentialForensicReports runs an out-of-bounds program under every
-// instrumented configuration with forensics enabled and requires both engines
-// to synthesize byte-identical violation reports: same rendered text, same
-// JSON serialization, same flight-recorder tail. The report is derived
+// instrumented configuration with forensics and site profiling both enabled
+// and requires both engines to synthesize byte-identical violation reports
+// (same rendered text, same JSON serialization, same flight-recorder tail)
+// and identical site profiles. The report is derived
 // entirely from VM state the engines already keep in lockstep (addresses,
 // instruction counter, allocator snapshots), so any divergence here means an
 // engine recorded an event the other did not.
@@ -480,9 +482,13 @@ int main() {
 				t.Fatal("instrumentation produced no allocation-site table")
 			}
 			vopts.Forensics = true
+			vopts.SiteProfile = true
 			vopts.Sites = stats.Sites
 			vopts.AllocSites = stats.AllocSites
 			tree := runUnder(t, bytecode.EngineTree, m, vopts)
+			if len(tree.sites) < 2 {
+				t.Fatal("forensic run carried no site profile")
+			}
 			tr := reportOf(t, bytecode.EngineTree, tree)
 			tj, err := tr.JSON()
 			if err != nil {
@@ -510,6 +516,9 @@ int main() {
 				}
 				if string(tj) != string(bj) {
 					t.Errorf("JSON reports differ:\n--- tree ---\n%s--- %v ---\n%s", tj, kind, bj)
+				}
+				if !slices.Equal(tree.sites, bc.sites) {
+					t.Errorf("site profiles differ:\ntree: %+v\n%v: %+v", tree.sites, kind, bc.sites)
 				}
 			}
 		})

@@ -534,12 +534,9 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 				regs[o.dst] = b.Bound
 			}
 		case opSBStoreMD:
-			st.MetaStores++
-			st.Cost += cm.SBMetaStore
-			e.bumpSite(o.imm, false, cm.SBMetaStore)
-			e.vm.Trie.Store(regs[o.a], softbound.Bounds{Base: regs[o.b], Bound: regs[o.c]})
+			e.vm.SBStoreMD(int32(o.imm), regs[o.a], regs[o.b], regs[o.c])
 		case opSBCheck:
-			if err := e.sbCheck(o.imm, regs[o.a], regs[o.b], regs[o.c], regs[o.d]); err != nil {
+			if err := e.vm.SBCheck(int32(o.imm), regs[o.a], regs[o.b], regs[o.c], regs[o.d]); err != nil {
 				return 0, err
 			}
 
@@ -549,30 +546,20 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 				regs[o.dst] = lowfat.Base(regs[o.a])
 			}
 		case opLFCheck:
-			if err := e.lfCheck(o.imm, regs[o.a], regs[o.b], regs[o.c]); err != nil {
+			if err := e.vm.LFCheck(int32(o.imm), regs[o.a], regs[o.b], regs[o.c]); err != nil {
 				return 0, err
 			}
 		case opLFCheckInv:
-			ptr, base := regs[o.a], regs[o.b]
-			st.InvariantChecks++
-			st.Cost += cm.LFCheck
-			e.bumpSite(o.imm, false, cm.LFCheck)
-			if ok, wide := lowfat.Check(ptr, 1, base); !ok && !wide {
-				return 0, vm.LFInvariantViolation(ptr, base)
+			if err := e.vm.LFCheckInv(int32(o.imm), regs[o.a], regs[o.b]); err != nil {
+				return 0, err
 			}
 
-		case opSBCheckLoad, opSBCheckStore, opLFCheckLoad, opLFCheckStore,
-			opSBCheckLoadRec, opSBCheckStoreRec, opLFCheckLoadRec, opLFCheckStoreRec:
+		case opSBCheckLoad, opSBCheckStore, opLFCheckLoad, opLFCheckStore:
 			var err error
-			switch o.code {
-			case opSBCheckLoad, opSBCheckStore:
-				err = e.sbCheck(o.imm, regs[o.a], regs[o.b], regs[o.c], regs[o.d])
-			case opLFCheckLoad, opLFCheckStore:
-				err = e.lfCheck(o.imm, regs[o.a], regs[o.b], regs[o.c])
-			case opSBCheckLoadRec, opSBCheckStoreRec:
-				err = e.vm.SBCheckRec(int32(o.imm), regs[o.a], regs[o.b], regs[o.c], regs[o.d])
-			default:
-				err = e.vm.LFCheckRec(int32(o.imm), regs[o.a], regs[o.b], regs[o.c])
+			if o.code == opSBCheckLoad || o.code == opSBCheckStore {
+				err = e.vm.SBCheck(int32(o.imm), regs[o.a], regs[o.b], regs[o.c], regs[o.d])
+			} else {
+				err = e.vm.LFCheck(int32(o.imm), regs[o.a], regs[o.b], regs[o.c])
 			}
 			if err != nil {
 				return 0, err
@@ -604,30 +591,6 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 					return 0, err
 				}
 				st.Stores++
-			}
-
-		case opSBStoreMDRec:
-			e.vm.SBStoreMDRec(int32(o.imm), regs[o.a], regs[o.b], regs[o.c])
-		case opSBCheckRec:
-			if err := e.vm.SBCheckRec(int32(o.imm), regs[o.a], regs[o.b], regs[o.c], regs[o.d]); err != nil {
-				return 0, err
-			}
-		case opLFCheckRec:
-			if err := e.vm.LFCheckRec(int32(o.imm), regs[o.a], regs[o.b], regs[o.c]); err != nil {
-				return 0, err
-			}
-		case opLFCheckInvRec:
-			if err := e.vm.LFCheckInvRec(int32(o.imm), regs[o.a], regs[o.b]); err != nil {
-				return 0, err
-			}
-
-		case opSBCheckRangeRec:
-			if err := e.vm.SBCheckRangeRec(int32(o.imm), regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.d], regs[o.dst]); err != nil {
-				return 0, err
-			}
-		case opLFCheckRangeRec:
-			if err := e.vm.LFCheckRangeRec(int32(o.imm), regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.dst]); err != nil {
-				return 0, err
 			}
 
 		case opBr:
@@ -719,9 +682,7 @@ func (e *Engine) gate(fn *Fn, pc int, regs []uint64) error {
 			}
 			e.vm.SetStackPointer(addr)
 		}
-		if e.p.rec {
-			e.vm.TrackAlloc(addr, size, o.instr.AllocSite)
-		}
+		e.vm.TrackAlloc(addr, size, o.instr.AllocSite)
 		regs[o.dst] = addr
 
 	case opGEPDyn:
@@ -811,13 +772,9 @@ func (e *Engine) gate(fn *Fn, pc int, regs []uint64) error {
 		}
 
 	case opSBCheckRange:
-		wide, err := vm.SBCheckRangeOp(st, cm, regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.d], regs[o.dst])
-		e.bumpSite(o.imm, wide, cm.SBCheck)
-		return err
+		return e.vm.SBCheckRange(int32(o.imm), regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.d], regs[o.dst])
 	case opLFCheckRange:
-		wide, err := vm.LFCheckRangeOp(st, cm, regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.dst])
-		e.bumpSite(o.imm, wide, cm.LFCheck)
-		return err
+		return e.vm.LFCheckRange(int32(o.imm), regs[o.a], regs[o.b], regs[o.x], regs[o.c], regs[o.dst])
 
 	default:
 		return errNotGate
@@ -845,52 +802,4 @@ func (e *Engine) accessStop(pc int, aux *fusedAux) error {
 		return e.rte(pc, aux.in2, "step limit exceeded")
 	}
 	return e.poll()
-}
-
-// sbCheck replicates the mi_sb_check handler (statistics, site counter,
-// wide-bounds elision, violation).
-func (e *Engine) sbCheck(site, ptr, width, base, bound uint64) error {
-	e.st.Checks++
-	e.st.Cost += e.cm.SBCheck
-	b := softbound.Bounds{Base: base, Bound: bound}
-	e.bumpSite(site, b.IsWide(), e.cm.SBCheck)
-	if b.IsWide() {
-		e.st.WideChecks++
-		return nil
-	}
-	if !b.Check(ptr, width) {
-		return vm.SBDerefViolation(ptr, width, base, bound)
-	}
-	return nil
-}
-
-// lfCheck replicates the mi_lf_check handler.
-func (e *Engine) lfCheck(site, ptr, width, base uint64) error {
-	e.st.Checks++
-	e.st.Cost += e.cm.LFCheck
-	ok, wide := lowfat.Check(ptr, width, base)
-	e.bumpSite(site, wide, e.cm.LFCheck)
-	if wide {
-		e.st.WideChecks++
-		return nil
-	}
-	if !ok {
-		return vm.LFDerefViolation(ptr, width, base)
-	}
-	return nil
-}
-
-// bumpSite attributes one execution to site id in the shared per-site
-// profile, as the tree interpreter's handlers do. It is a no-op when the
-// program is not profiled (e.prof is nil) and for id 0 ("no site").
-func (e *Engine) bumpSite(id uint64, wide bool, cost uint64) {
-	if id == 0 || id >= uint64(len(e.prof)) {
-		return
-	}
-	sc := &e.prof[id]
-	sc.Execs++
-	sc.Cost += cost
-	if wide {
-		sc.Wide++
-	}
 }

@@ -14,6 +14,13 @@ func CompileNative(mod *ir.Module, cm *vm.CostModel, prof bool) *Program {
 	return compileTier(mod, cm, prof, false, EngineCompiler)
 }
 
+// CompileFor compiles mod for VMs with the given site-profiling and
+// forensics settings (default cost model, bytecode tier), so tests can
+// compare lowerings across those axes.
+func CompileFor(mod *ir.Module, prof, rec bool) *Program {
+	return compileModule(mod, nil, prof, rec)
+}
+
 // NatGenerate exposes the native generator to the external tests.
 func NatGenerate(p *Program) string { return natGenerate(p) }
 

@@ -226,7 +226,7 @@ func natContribOf(fn *Fn, cm *vm.CostModel, prof bool, o *op) (natContrib, natSi
 		c.co += cm.LFCheck + fn.aux[o.x].cost2
 	}
 	// The ops the interpreter bumps a site for commit it here too. Site 0
-	// means "no site", mirroring Engine.bumpSite.
+	// means "no site", mirroring the VM's bumpSite.
 	var s natSiteContrib
 	if !prof {
 		return c, s

@@ -23,15 +23,6 @@ func (v *VM) StepLimit() uint64 { return v.maxSteps }
 // slice, so both engines' profiles are read the same way.
 func (v *VM) SiteProfile() []SiteCount { return v.siteProf }
 
-// bumpSite attributes one execution to the site of call. No-op when profiling
-// is off or the instruction carries no site.
-func (v *VM) bumpSite(call *ir.Instr, wide bool, cost uint64) {
-	if v.siteProf == nil || call == nil {
-		return
-	}
-	v.bumpSiteID(call.Site, wide, cost)
-}
-
 // External returns the handler registered for an external function, or nil.
 func (v *VM) External(name string) ExtFn { return v.externals[name] }
 

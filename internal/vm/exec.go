@@ -475,9 +475,7 @@ func (v *VM) execAlloca(fr *frame, in *ir.Instr) (uint64, error) {
 		if !lowFat {
 			fr.fallbackAllocas = append(fr.fallbackAllocas, addr)
 		}
-		if v.allocs != nil {
-			v.TrackAlloc(addr, size, in.AllocSite)
-		}
+		v.TrackAlloc(addr, size, in.AllocSite)
 		return addr, nil
 	}
 	align := uint64(in.AllocTy.Align())
@@ -489,8 +487,6 @@ func (v *VM) execAlloca(fr *frame, in *ir.Instr) (uint64, error) {
 		return 0, &RuntimeError{Msg: "stack overflow", Trace: v.backtrace()}
 	}
 	v.sp = nsp
-	if v.allocs != nil {
-		v.TrackAlloc(nsp, size, in.AllocSite)
-	}
+	v.TrackAlloc(nsp, size, in.AllocSite)
 	return nsp, nil
 }

@@ -1,24 +1,20 @@
 package vm
 
-// Violation forensics: the recorded variants of the runtime check handlers.
-// When Options.Forensics is on, the VM tracks live allocations under their
-// static allocation-site IDs, feeds a flight recorder of recent memory
-// events, and attaches a structured telemetry.ViolationReport to every
-// ViolationError. The recorded operations reproduce the plain handlers'
-// statistics, costs and violation texts exactly, so verdicts and Stats are
-// bit-identical with forensics on or off — only the diagnostics differ.
+// Violation forensics. When Options.Forensics is on, the VM tracks live
+// allocations under their static allocation-site IDs, feeds a flight
+// recorder of recent memory events, and attaches a structured
+// telemetry.ViolationReport to every ViolationError. Recording is a branch
+// inside the runtime operations of mirt.go, not a second copy of them: the
+// same statistics, costs and violation texts hold with forensics on or off,
+// so verdicts and Stats are bit-identical and only the diagnostics differ.
 //
-// Both engines share everything here: the tree interpreter registers the
-// recorded handlers (registerForensicsHandlers), the bytecode engine calls
-// the same *Rec methods from its recorded opcodes. Event order and the
-// engine-neutral "pc" (Stats.Instrs at record time) therefore agree across
-// engines, which the differential report-equality tests assert.
+// Both engines share everything here: the tree interpreter's handlers and
+// the bytecode engine's ops call the same runtime operations. Event order
+// and the engine-neutral "pc" (Stats.Instrs at record time) therefore agree
+// across engines, which the differential report-equality tests assert.
 
 import (
-	"repro/internal/ir"
 	"repro/internal/lowfat"
-	"repro/internal/rt"
-	"repro/internal/softbound"
 	"repro/internal/telemetry"
 )
 
@@ -28,17 +24,13 @@ type allocRec struct {
 	size uint64
 }
 
-// ForensicsEnabled reports whether the VM records forensics (engines use it
-// to decide between plain and recorded code paths).
-func (v *VM) ForensicsEnabled() bool { return v.allocs != nil }
-
 // Flight returns the flight recorder (nil unless forensics is on).
 func (v *VM) Flight() *telemetry.Flight { return v.flight }
 
-// bumpSiteID attributes one execution to the given site ID. Nil-safe on
-// every axis, so recorded operations call it unconditionally: profiling and
-// forensics compose without dedicated Prof+Rec twins.
-func (v *VM) bumpSiteID(id int32, wide bool, cost uint64) {
+// bumpSite attributes one execution to the given site ID. A no-op when
+// profiling is off and for site 0 ("no site"), so the runtime operations
+// call it unconditionally.
+func (v *VM) bumpSite(id int32, wide bool, cost uint64) {
 	if v.siteProf == nil || id <= 0 || int(id) >= len(v.siteProf) {
 		return
 	}
@@ -71,9 +63,12 @@ func (v *VM) TrackFree(addr uint64) {
 	v.flight.Record(telemetry.Event{Instr: v.Stats.Instrs, Kind: telemetry.EvFree, Addr: addr})
 }
 
-// recordCheck logs a passed check into the flight recorder.
-func (v *VM) recordCheck(site int32, ptr uint64) {
-	v.flight.Record(telemetry.Event{Instr: v.Stats.Instrs, Kind: telemetry.EvCheck, Site: site, Addr: ptr})
+// record logs a check or metadata event into the flight recorder. The nil
+// check comes first, so a run without forensics builds no event.
+func (v *VM) record(kind telemetry.EventKind, site int32, addr uint64) {
+	if v.flight != nil {
+		v.flight.Record(telemetry.Event{Instr: v.Stats.Instrs, Kind: kind, Site: site, Addr: addr})
+	}
 }
 
 // findAlloc resolves the allocation a faulting pointer belongs to: first the
@@ -94,18 +89,12 @@ func (v *VM) findAlloc(base, ptr uint64) (uint64, allocRec, bool) {
 	return 0, allocRec{}, false
 }
 
-// violation attaches the report to viol (when forensics is on) and returns
-// it.
+// violation attaches the structured report to viol when forensics is on and
+// returns it. All inputs are shared VM state, so the report is deterministic
+// and engine-neutral.
 func (v *VM) violation(viol *ViolationError, site int32, width, base, bound uint64) *ViolationError {
-	v.attachReport(viol, site, width, base, bound)
-	return viol
-}
-
-// attachReport synthesizes the structured report for a violation. All inputs
-// are shared VM state, so the report is deterministic and engine-neutral.
-func (v *VM) attachReport(viol *ViolationError, site int32, width, base, bound uint64) {
 	if v.allocs == nil {
-		return
+		return viol
 	}
 	rep := &telemetry.ViolationReport{
 		Mechanism: viol.Mechanism,
@@ -156,133 +145,5 @@ func (v *VM) attachReport(viol *ViolationError, site int32, width, base, bound u
 		}
 	}
 	viol.Report = rep
-}
-
-// --- Recorded runtime operations (shared by both engines) ---
-
-// SBCheckRec is the recorded SoftBound dereference check.
-func (v *VM) SBCheckRec(site int32, ptr, width, base, bound uint64) error {
-	v.Stats.Checks++
-	v.Stats.Cost += v.cost.SBCheck
-	b := softbound.Bounds{Base: base, Bound: bound}
-	v.bumpSiteID(site, b.IsWide(), v.cost.SBCheck)
-	if b.IsWide() {
-		v.Stats.WideChecks++
-		v.recordCheck(site, ptr)
-		return nil
-	}
-	if !b.Check(ptr, width) {
-		return v.violation(SBDerefViolation(ptr, width, base, bound), site, width, base, bound)
-	}
-	v.recordCheck(site, ptr)
-	return nil
-}
-
-// LFCheckRec is the recorded Low-Fat dereference check.
-func (v *VM) LFCheckRec(site int32, ptr, width, base uint64) error {
-	v.Stats.Checks++
-	v.Stats.Cost += v.cost.LFCheck
-	ok, wide := lowfat.Check(ptr, width, base)
-	v.bumpSiteID(site, wide, v.cost.LFCheck)
-	if wide {
-		v.Stats.WideChecks++
-		v.recordCheck(site, ptr)
-		return nil
-	}
-	if !ok {
-		return v.violation(LFDerefViolation(ptr, width, base), site, width, base, 0)
-	}
-	v.recordCheck(site, ptr)
-	return nil
-}
-
-// LFCheckInvRec is the recorded Low-Fat escape (invariant) check.
-func (v *VM) LFCheckInvRec(site int32, ptr, base uint64) error {
-	v.Stats.InvariantChecks++
-	v.Stats.Cost += v.cost.LFCheck
-	v.bumpSiteID(site, false, v.cost.LFCheck)
-	ok, wide := lowfat.Check(ptr, 1, base)
-	if wide {
-		v.recordCheck(site, ptr)
-		return nil
-	}
-	if !ok {
-		return v.violation(LFInvariantViolation(ptr, base), site, 0, base, 0)
-	}
-	v.recordCheck(site, ptr)
-	return nil
-}
-
-// SBStoreMDRec is the recorded SoftBound metadata store.
-func (v *VM) SBStoreMDRec(site int32, addr, base, bound uint64) {
-	v.Stats.MetaStores++
-	v.Stats.Cost += v.cost.SBMetaStore
-	v.bumpSiteID(site, false, v.cost.SBMetaStore)
-	v.Trie.Store(addr, softbound.Bounds{Base: base, Bound: bound})
-	v.flight.Record(telemetry.Event{
-		Instr: v.Stats.Instrs, Kind: telemetry.EvMetaStore, Site: site, Addr: addr,
-	})
-}
-
-// SBCheckRangeRec is the recorded hoisted SoftBound range check.
-func (v *VM) SBCheckRangeRec(site int32, lo, hi, width, base, bound, nonempty uint64) error {
-	wide, err := SBCheckRangeOp(&v.Stats, v.cost, lo, hi, width, base, bound, nonempty)
-	v.bumpSiteID(site, wide, v.cost.SBCheck)
-	if err != nil {
-		if viol, ok := err.(*ViolationError); ok {
-			v.attachReport(viol, site, width, base, bound)
-		}
-		return err
-	}
-	v.recordCheck(site, lo)
-	return nil
-}
-
-// LFCheckRangeRec is the recorded hoisted Low-Fat range check.
-func (v *VM) LFCheckRangeRec(site int32, lo, hi, width, base, nonempty uint64) error {
-	wide, err := LFCheckRangeOp(&v.Stats, v.cost, lo, hi, width, base, nonempty)
-	v.bumpSiteID(site, wide, v.cost.LFCheck)
-	if err != nil {
-		if viol, ok := err.(*ViolationError); ok {
-			v.attachReport(viol, site, width, base, 0)
-		}
-		return err
-	}
-	v.recordCheck(site, lo)
-	return nil
-}
-
-// siteOf extracts the check-site ID of a runtime call (nil-tolerant:
-// top-level external invocations pass a nil instruction).
-func siteOf(call *ir.Instr) int32 {
-	if call == nil {
-		return 0
-	}
-	return call.Site
-}
-
-// registerForensicsHandlers overrides the site-bearing runtime intrinsics
-// with their recorded variants. Called after registerMIRuntime when
-// Options.Forensics is set, so the plain handlers — the disabled path — stay
-// byte-for-byte untouched.
-func registerForensicsHandlers(v *VM) {
-	v.RegisterExternal(rt.SBStoreMD, func(vm *VM, call *ir.Instr, args []uint64) (uint64, error) {
-		vm.SBStoreMDRec(siteOf(call), args[0], args[1], args[2])
-		return 0, nil
-	})
-	v.RegisterExternal(rt.SBCheck, func(vm *VM, call *ir.Instr, args []uint64) (uint64, error) {
-		return 0, vm.SBCheckRec(siteOf(call), args[0], args[1], args[2], args[3])
-	})
-	v.RegisterExternal(rt.SBCheckRange, func(vm *VM, call *ir.Instr, args []uint64) (uint64, error) {
-		return 0, vm.SBCheckRangeRec(siteOf(call), args[0], args[1], args[2], args[3], args[4], args[5])
-	})
-	v.RegisterExternal(rt.LFCheck, func(vm *VM, call *ir.Instr, args []uint64) (uint64, error) {
-		return 0, vm.LFCheckRec(siteOf(call), args[0], args[1], args[2])
-	})
-	v.RegisterExternal(rt.LFCheckInv, func(vm *VM, call *ir.Instr, args []uint64) (uint64, error) {
-		return 0, vm.LFCheckInvRec(siteOf(call), args[0], args[1])
-	})
-	v.RegisterExternal(rt.LFCheckRange, func(vm *VM, call *ir.Instr, args []uint64) (uint64, error) {
-		return 0, vm.LFCheckRangeRec(siteOf(call), args[0], args[1], args[2], args[3], args[4])
-	})
+	return viol
 }

@@ -105,9 +105,7 @@ func (v *VM) heapAlloc(size uint64, site int32) (uint64, error) {
 		return 0, err
 	}
 	v.heapSizes[addr] = size
-	if v.allocs != nil {
-		v.TrackAlloc(addr, size, site)
-	}
+	v.TrackAlloc(addr, size, site)
 	return addr, nil
 }
 
@@ -121,9 +119,7 @@ func (v *VM) heapFree(addr uint64) error {
 		return &RuntimeError{Msg: fmt.Sprintf("invalid free of %#x", addr)}
 	}
 	delete(v.heapSizes, addr)
-	if v.allocs != nil {
-		v.TrackFree(addr)
-	}
+	v.TrackFree(addr)
 	if v.opts.LowFatHeap {
 		return v.LF.Free(addr)
 	}

@@ -322,9 +322,6 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 	}
 	registerLibc(v)
 	registerMIRuntime(v)
-	if opts.Forensics {
-		registerForensicsHandlers(v)
-	}
 	if err := v.layoutGlobals(); err != nil {
 		return nil, err
 	}
