@@ -9,9 +9,8 @@
 //     per-function constant pool bound at engine-creation time),
 //   - blocks become jump offsets,
 //   - phis become pre-resolved parallel-copy plans executed on edges,
-//   - runtime-intrinsic calls (mi_sb_check, mi_lf_check, ...) become fused
-//     opcodes, and a check that immediately guards a load or store fuses
-//     with the access into a single combined opcode,
+//   - runtime-intrinsic calls (mi_sb_check, mi_lf_check, ...) become
+//     opcodes of their own,
 //   - the per-instruction cost of the vm.CostModel is baked into each op.
 //
 // The engine drives an ordinary *vm.VM for all runtime state — address
@@ -152,7 +151,7 @@ const (
 	opCallInt // intCalls[x]
 	opCallExt // extCalls[x]
 
-	// Fused runtime intrinsics (replicating internal/vm's mirt.go handlers,
+	// Runtime intrinsics (replicating internal/vm's mirt.go handlers,
 	// charged the call-instruction cost plus the handler cost). imm carries
 	// the SiteID of the check and metadata intrinsics, which call the VM's
 	// runtime operation for that intrinsic — the one the tree interpreter's
@@ -179,14 +178,6 @@ const (
 	// dst slot is free to carry the loop's entry condition register.
 	opSBCheckRange // check(lo=a, hi=b, width=x, base=c, bound=d, nonempty=dst)
 	opLFCheckRange // check(lo=a, hi=b, width=x, base=c, nonempty=dst)
-
-	// Fused check + access: the check above plus an immediately following
-	// load/store of the same pointer register, one dispatch. Counts as two
-	// instructions (aux[x] carries the access half's identity and cost).
-	opSBCheckLoad  // check(a,b,c,d), then dst = mem[a] (wbits bytes)
-	opSBCheckStore // check(a,b,c,d), then mem[a] = regs[dst]
-	opLFCheckLoad  // check(a,b,c), then dst = mem[a]
-	opLFCheckStore // check(a,b,c), then mem[a] = regs[dst]
 
 	// Control flow.
 	opBr     // pc = b
@@ -289,13 +280,6 @@ type extCall struct {
 	args  []int32
 }
 
-// fusedAux is the access half of a fused check+access op.
-type fusedAux struct {
-	in2   *ir.Instr
-	cost2 uint64
-	load  bool // a load into dst, else a store of regs[dst]
-}
-
 type errInfo struct {
 	msg   string
 	trace bool
@@ -318,7 +302,6 @@ type Fn struct {
 	phis     []phiPlan
 	intCalls []intCall
 	extCalls []extCall
-	aux      []fusedAux
 	errs     []errInfo
 }
 

@@ -9,26 +9,17 @@ import (
 	"repro/internal/vm"
 )
 
-// Compile lowers a module to bytecode under a cost model (nil selects the
-// default model). The result is immutable and reusable across VMs; it
+// compileTier lowers a module to bytecode under a cost model (nil selects
+// the default model). The result is immutable and reusable across VMs; it
 // references the module's instruction, global and function objects, so it is
 // only valid for VMs created on this exact module (not a clone).
-func Compile(mod *ir.Module, cm *vm.CostModel) *Program {
-	return compileModule(mod, cm, false, false)
-}
-
-// compileModule is Compile plus the site-profiling and forensics axes.
-// Neither changes the lowering: every check and metadata op carries its
-// SiteID in imm and calls the VM's runtime operation, which bumps the site
-// profile and records forensics only when the bound VM does. prof and rec
-// only record which VMs the program may bind.
-func compileModule(mod *ir.Module, cm *vm.CostModel, prof, rec bool) *Program {
-	return compileTier(mod, cm, prof, rec, EngineBytecode)
-}
-
-// compileTier is compileModule plus the engine-tier axis. The lowered
-// bytecode is identical across tiers; the tier only decides whether an
-// Engine binds native code (NewEngine).
+//
+// Neither site profiling nor forensics changes the lowering: every check and
+// metadata op carries its SiteID in imm and calls the VM's runtime
+// operation, which bumps the site profile and records forensics only when
+// the bound VM does; prof and rec only record which VMs the program may
+// bind. Nor does the tier: it only decides whether an Engine binds native
+// code (NewEngine).
 func compileTier(mod *ir.Module, cm *vm.CostModel, prof, rec bool, tier EngineKind) *Program {
 	if cm == nil {
 		cm = vm.DefaultCostModel()
@@ -255,111 +246,12 @@ func (c *fnc) emitBlock(b *ir.Block) {
 		c.emitErrRaw(fmt.Sprintf("phi %s in @%s has no incoming for entry", b.Instrs[0].Ref(), c.f.Name), false)
 	}
 	c.blockPC[b] = len(c.fn.ops)
-	ins := b.Instrs
-	for i := nphi; i < len(ins); i++ {
-		in := ins[i]
-		if i+1 < len(ins) && c.tryFuse(in, ins[i+1]) {
-			i++
-			continue
-		}
+	for _, in := range b.Instrs[nphi:] {
 		c.emit(in, b)
 	}
 	if b.Terminator() == nil {
 		c.emitErrRaw("block %"+b.Name+" fell through without terminator", true)
 	}
-}
-
-// tryFuse recognizes a runtime check call that immediately precedes the
-// load/store it guards (same pointer register) and fuses the pair into one
-// combined opcode. The fused op performs both halves' full accounting, so
-// statistics and step-limit behavior are unchanged.
-func (c *fnc) tryFuse(in, next *ir.Instr) bool {
-	if in.Op != ir.OpCall || in.Ty != ir.Void {
-		return false
-	}
-	callee := in.Callee()
-	if callee == nil || !callee.IsDecl() {
-		return false
-	}
-	var lf bool
-	switch callee.Name {
-	case rt.SBCheck:
-		lf = false
-	case rt.LFCheck:
-		lf = true
-	default:
-		return false
-	}
-	args := in.Args()
-	if (!lf && len(args) != 4) || (lf && len(args) != 3) {
-		return false
-	}
-	for _, v := range in.Operands {
-		if !knownValue(v) {
-			return false
-		}
-	}
-	for _, v := range next.Operands {
-		if !knownValue(v) {
-			return false
-		}
-	}
-	var accessPtr ir.Value
-	var width int
-	var isLoad bool
-	switch next.Op {
-	case ir.OpLoad:
-		if next.Ty.IsAggregate() {
-			return false
-		}
-		accessPtr, width, isLoad = next.Operands[0], next.Ty.Size(), true
-	case ir.OpStore:
-		vt := next.Operands[0].Type()
-		if vt.IsAggregate() {
-			return false
-		}
-		accessPtr, width, isLoad = next.Operands[1], vt.Size(), false
-	default:
-		return false
-	}
-	if width < 1 || width > 8 {
-		return false
-	}
-	ptr := c.regOf(args[0])
-	if c.regOf(accessPtr) != ptr {
-		return false
-	}
-
-	o := op{
-		instr: in,
-		cost:  c.cm.InstrCost(in),
-		imm:   uint64(in.Site),
-		a:     ptr,
-		b:     c.regOf(args[1]),
-		c:     c.regOf(args[2]),
-		d:     -1,
-		wbits: uint8(width),
-		x:     int32(len(c.fn.aux)),
-	}
-	c.fn.aux = append(c.fn.aux, fusedAux{in2: next, cost2: c.cm.InstrCost(next), load: isLoad})
-	if !lf {
-		o.d = c.regOf(args[3])
-	}
-	switch {
-	case !lf && isLoad:
-		o.code, o.dst = opSBCheckLoad, c.dstOf(next)
-	case !lf && !isLoad:
-		o.code, o.dst = opSBCheckStore, c.regOf(next.Operands[0])
-	case lf && isLoad:
-		o.code, o.dst = opLFCheckLoad, c.dstOf(next)
-	default:
-		o.code, o.dst = opLFCheckStore, c.regOf(next.Operands[0])
-	}
-	if isLoad && o.dst < 0 {
-		return false
-	}
-	c.push(o)
-	return true
 }
 
 var binOps = map[ir.Op]opcode{
@@ -616,13 +508,14 @@ func (c *fnc) emitCall(in *ir.Instr, cost uint64, dst int32) {
 			x: int32(len(c.fn.intCalls) - 1)})
 		return
 	}
-	// Runtime intrinsics lower to fused opcodes when the arity matches the
-	// registered handler's expectations; anything else goes through the
-	// generic external-call op (whose handler faults like the interpreter).
+	// Runtime intrinsics lower to opcodes of their own when the arity
+	// matches the registered handler's expectations; anything else goes
+	// through the generic external-call op (whose handler faults like the
+	// interpreter).
 	// imm carries the SiteID for the check/metadata intrinsics (unused by the
 	// shadow-stack and witness ops).
 	o := op{instr: in, cost: cost, imm: uint64(in.Site), dst: dst, a: -1, b: -1, c: -1, d: -1}
-	fused := true
+	intrinsic := true
 	switch {
 	case callee.Name == rt.SBLoadBase && len(regs) == 1:
 		o.code, o.a = opSBLoadBase, regs[0]
@@ -662,9 +555,9 @@ func (c *fnc) emitCall(in *ir.Instr, cost uint64, dst int32) {
 		o.code, o.a, o.b, o.x, o.c, o.dst = opLFCheckRange,
 			regs[0], regs[1], regs[2], regs[3], regs[4]
 	default:
-		fused = false
+		intrinsic = false
 	}
-	if fused {
+	if intrinsic {
 		c.push(o)
 		return
 	}

@@ -250,7 +250,7 @@ func TestDifferentialSiteProfile(t *testing.T) {
 // above: a site-profiled compiler-tier run actually retires instructions in
 // native code (the lowering policy no longer disqualifies SiteProfile), so
 // the bit-identical profiles cover the native tier rather than holding
-// vacuously on the fused interpreter.
+// vacuously on the bytecode interpreter.
 func TestProfiledNativeEngages(t *testing.T) {
 	if !bytecode.NativeAvailable() {
 		t.Skip("native tier disabled on this platform")

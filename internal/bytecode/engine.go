@@ -39,8 +39,8 @@ type Engine struct {
 	maxSteps uint64
 	// intr is the VM's cooperative cancellation flag (nil when unused);
 	// intrCountdown schedules the next poll, counted per instruction like
-	// the tree interpreter's (a fused check+access op is two), so a raised
-	// flag stops every engine at the same instruction.
+	// the tree interpreter's, so a raised flag stops every engine at the
+	// same instruction.
 	intr          *vm.InterruptFlag
 	intrCountdown uint64
 
@@ -177,42 +177,34 @@ func (e *Engine) recoverPanic(err *error) {
 		*err = re
 		return
 	}
-	*err = &vm.RuntimeError{Msg: fmt.Sprintf("internal panic: %v", p), Trace: e.backtrace(nil)}
+	*err = &vm.RuntimeError{Msg: fmt.Sprintf("internal panic: %v", p), Trace: e.backtrace()}
 }
 
-// backtrace captures the engine frame stack, innermost first. in, when
-// non-nil, identifies the innermost instruction (fused ops raise on their
-// second half); outer frames report their pending call op.
-func (e *Engine) backtrace(in *ir.Instr) []vm.TraceFrame {
+// backtrace captures the engine frame stack, innermost first: each frame
+// reports the instruction of the op at its pc (the raising op innermost,
+// the pending call op in outer frames).
+func (e *Engine) backtrace() []vm.TraceFrame {
 	out := make([]vm.TraceFrame, 0, len(e.frames))
 	for i := len(e.frames) - 1; i >= 0; i-- {
 		fr := e.frames[i]
 		t := vm.TraceFrame{Func: fr.fn.ir.Name}
-		cur := in
-		if i < len(e.frames)-1 || cur == nil {
-			if fr.pc < len(fr.fn.ops) {
-				cur = fr.fn.ops[fr.pc].instr
-			} else {
-				cur = nil
+		if fr.pc < len(fr.fn.ops) {
+			if cur := fr.fn.ops[fr.pc].instr; cur != nil {
+				if cur.Block != nil {
+					t.Block = cur.Block.Name
+				}
+				t.Instr = ir.FormatInstr(cur)
 			}
-		}
-		if cur != nil {
-			if cur.Block != nil {
-				t.Block = cur.Block.Name
-			}
-			t.Instr = ir.FormatInstr(cur)
 		}
 		out = append(out, t)
-		in = nil
 	}
 	return out
 }
 
-// rte builds a RuntimeError raised at the op at pc (or, for fused ops, at
-// the instruction in).
-func (e *Engine) rte(pc int, in *ir.Instr, msg string) error {
+// rte builds a RuntimeError raised at the op at pc.
+func (e *Engine) rte(pc int, msg string) error {
 	e.frames[len(e.frames)-1].pc = pc
-	return &vm.RuntimeError{Msg: msg, Trace: e.backtrace(in)}
+	return &vm.RuntimeError{Msg: msg, Trace: e.backtrace()}
 }
 
 func (e *Engine) getRegs(n int) []uint64 {
@@ -370,7 +362,7 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 		if o.code < opUncountedStart {
 			e.steps++
 			if e.steps > e.maxSteps {
-				return 0, e.rte(pc, o.instr, "step limit exceeded")
+				return 0, e.rte(pc, "step limit exceeded")
 			}
 			e.intrCountdown--
 			if e.intrCountdown == 0 {
@@ -395,7 +387,7 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 			a := sext(regs[o.a], o.wbits)
 			b := sext(regs[o.b], o.wbits)
 			if b == 0 {
-				return 0, e.rte(pc, o.instr, "integer division by zero")
+				return 0, e.rte(pc, "integer division by zero")
 			}
 			var r int64
 			if o.code == opSDiv {
@@ -408,7 +400,7 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 			a := regs[o.a] & o.imm
 			b := regs[o.b] & o.imm
 			if b == 0 {
-				return 0, e.rte(pc, o.instr, "integer division by zero")
+				return 0, e.rte(pc, "integer division by zero")
 			}
 			if o.code == opUDiv {
 				regs[o.dst] = (a / b) & o.imm
@@ -554,45 +546,6 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 				return 0, err
 			}
 
-		case opSBCheckLoad, opSBCheckStore, opLFCheckLoad, opLFCheckStore:
-			var err error
-			if o.code == opSBCheckLoad || o.code == opSBCheckStore {
-				err = e.vm.SBCheck(int32(o.imm), regs[o.a], regs[o.b], regs[o.c], regs[o.d])
-			} else {
-				err = e.vm.LFCheck(int32(o.imm), regs[o.a], regs[o.b], regs[o.c])
-			}
-			if err != nil {
-				return 0, err
-			}
-			// The access half: an instruction of its own to the reference
-			// interpreter, with its own step, poll and coverage accounting.
-			aux := &fn.aux[o.x]
-			e.steps++
-			e.intrCountdown--
-			if e.steps > e.maxSteps || e.intrCountdown == 0 {
-				if err := e.accessStop(pc, aux); err != nil {
-					return 0, err
-				}
-			}
-			st.Instrs++
-			st.Cost += aux.cost2
-			if cover != nil {
-				cover[aux.in2] = true
-			}
-			if aux.load {
-				x, err := e.load(regs[o.a], o.wbits)
-				if err != nil {
-					return 0, err
-				}
-				st.Loads++
-				regs[o.dst] = x
-			} else {
-				if err := e.store(regs[o.a], o.wbits, regs[o.dst]); err != nil {
-					return 0, err
-				}
-				st.Stores++
-			}
-
 		case opBr:
 			pc = int(o.b)
 			continue
@@ -610,7 +563,7 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 			return 0, nil
 
 		case opErrInstr:
-			return 0, e.rte(pc, o.instr, fn.errs[o.x].msg)
+			return 0, e.rte(pc, fn.errs[o.x].msg)
 
 		case opPhiCopy:
 			pl := &fn.phis[o.x]
@@ -631,7 +584,7 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 			if !ei.trace {
 				return 0, &vm.RuntimeError{Msg: ei.msg}
 			}
-			return 0, e.rte(pc, nil, ei.msg)
+			return 0, e.rte(pc, ei.msg)
 
 		default:
 			if err := e.gate(fn, pc, regs); err != nil {
@@ -678,7 +631,7 @@ func (e *Engine) gate(fn *Fn, pc int, regs []uint64) error {
 			align := uint64(o.x)
 			addr = (e.vm.StackPointer() - size) &^ (align - 1)
 			if addr < mem.StackLimit {
-				return e.rte(pc, o.instr, "stack overflow")
+				return e.rte(pc, "stack overflow")
 			}
 			e.vm.SetStackPointer(addr)
 		}
@@ -724,7 +677,7 @@ func (e *Engine) gate(fn *Fn, pc int, regs []uint64) error {
 		ec := &fn.extCalls[o.x]
 		h := e.vm.External(ec.name)
 		if h == nil {
-			return e.rte(pc, o.instr, "call to unknown external @"+ec.name)
+			return e.rte(pc, "call to unknown external @"+ec.name)
 		}
 		argv := make([]uint64, len(ec.args))
 		for i, r := range ec.args {
@@ -788,18 +741,7 @@ func (e *Engine) gate(fn *Fn, pc int, regs []uint64) error {
 func (e *Engine) poll() error {
 	e.intrCountdown = vm.InterruptStride
 	if r := e.intr.Raised(); r != vm.IntrNone {
-		e.intr.MarkObserved()
 		return &vm.InterruptError{Reason: r, Steps: e.steps}
 	}
 	return nil
-}
-
-// accessStop handles the access half of a fused check+access op reaching
-// the step limit or the next interrupt poll. The half is an instruction of
-// its own to the reference interpreter, so it counts toward both.
-func (e *Engine) accessStop(pc int, aux *fusedAux) error {
-	if e.steps > e.maxSteps {
-		return e.rte(pc, aux.in2, "step limit exceeded")
-	}
-	return e.poll()
 }

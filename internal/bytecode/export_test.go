@@ -18,7 +18,24 @@ func CompileNative(mod *ir.Module, cm *vm.CostModel, prof bool) *Program {
 // forensics settings (default cost model, bytecode tier), so tests can
 // compare lowerings across those axes.
 func CompileFor(mod *ir.Module, prof, rec bool) *Program {
-	return compileModule(mod, nil, prof, rec)
+	return compileTier(mod, nil, prof, rec, EngineBytecode)
+}
+
+// CountedInstrs maps each compiled function to the IR instructions its
+// counted ops name, in pc order, so tests can check that the lowering
+// retires every instruction through exactly one op.
+func CountedInstrs(p *Program) map[*ir.Func][]*ir.Instr {
+	out := make(map[*ir.Func][]*ir.Instr, len(p.fns))
+	for _, fn := range p.fns {
+		var ins []*ir.Instr
+		for pc := range fn.ops {
+			if o := &fn.ops[pc]; o.code < opUncountedStart {
+				ins = append(ins, o.instr)
+			}
+		}
+		out[fn.ir] = ins
+	}
+	return out
 }
 
 // NatGenerate exposes the native generator to the external tests.

@@ -23,7 +23,7 @@ func TestGateTablesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("vm.New: %v", err)
 	}
-	e, err := NewEngine(compileModule(m, machine.CostModel(), false, false), machine)
+	e, err := NewEngine(compileTier(m, machine.CostModel(), false, false, EngineBytecode), machine)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}

@@ -419,15 +419,15 @@ func (e *Engine) natRte(pc int) error {
 	o := &fn.ops[pc]
 	switch o.code {
 	case opErrInstr:
-		return e.rte(pc, o.instr, fn.errs[o.x].msg)
+		return e.rte(pc, fn.errs[o.x].msg)
 	case opErrRaw:
 		ei := &fn.errs[o.x]
 		if !ei.trace {
 			return &vm.RuntimeError{Msg: ei.msg}
 		}
-		return e.rte(pc, nil, ei.msg)
+		return e.rte(pc, ei.msg)
 	default:
-		return e.rte(pc, o.instr, "integer division by zero")
+		return e.rte(pc, "integer division by zero")
 	}
 }
 
@@ -484,7 +484,7 @@ func (e *Engine) gateOp(fn *Fn, pc int, regs []uint64) error {
 	o := &fn.ops[pc]
 	e.steps++
 	if e.steps > e.maxSteps {
-		return e.rte(pc, o.instr, "step limit exceeded")
+		return e.rte(pc, "step limit exceeded")
 	}
 	e.intrCountdown--
 	if e.intrCountdown == 0 {

@@ -60,8 +60,8 @@ type natEnv = struct {
 	// are batched by the generated code; these do only the table work).
 	TrieLookup func(uint64) (uint64, uint64)
 	TrieStore  func(uint64, uint64, uint64)
-	// SBFail/LFFail construct the exact violation errors of the fused check
-	// handlers. LFFail's first argument is 0 for a dereference check, 1 for
+	// SBFail/LFFail construct the exact violation errors of the VM's check
+	// operations. LFFail's first argument is 0 for a dereference check, 1 for
 	// an invariant (escape) check.
 	SBFail func(uint64, uint64, uint64, uint64) error
 	LFFail func(uint64, uint64, uint64, uint64) error

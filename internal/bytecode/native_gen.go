@@ -75,17 +75,17 @@ const natEnvDecl = `type env = struct {
 `
 
 // natContrib is the statically known statistics contribution of one op (or a
-// batch of ops): the vm.Stats deltas plus the counted-step total (st), which
-// is also the interrupt-countdown decrement (a fused check+access op counts
-// two of each, like the two instructions it is). For profiled programs,
+// batch of ops): the vm.Stats deltas. Every counted op is one instruction,
+// so the instruction count (in) is also the counted-step total and the
+// interrupt-countdown decrement. For profiled programs,
 // sites holds the site contribution of each op in the batch (id 0 for an op
 // without one; wide counts are dynamic and bump inline); they commit and
 // roll back with the same suffix discipline as the Cnt words, matching the
 // interpreter's bump-before-check order — a fault at a check keeps that
 // op's own site commit.
 type natContrib struct {
-	in, co, st, ld, sr, ck, iv, ml, ms uint64
-	sites                              []natSiteContrib
+	in, co, ld, sr, ck, iv, ml, ms uint64
+	sites                          []natSiteContrib
 }
 
 // natSiteContrib is one site's static contribution: ex executions charging
@@ -98,7 +98,6 @@ type natSiteContrib struct {
 func (c *natContrib) add(d natContrib) {
 	c.in += d.in
 	c.co += d.co
-	c.st += d.st
 	c.ld += d.ld
 	c.sr += d.sr
 	c.ck += d.ck
@@ -125,8 +124,7 @@ func natClass(code opcode) int {
 		opTrunc, opSExt, opFPCvt, opFPToSI, opSIToFP, opMove,
 		opLoad, opStore, opGEP, opSelect,
 		opSBLoadBase, opSBLoadBound, opSBStoreMD, opSBCheck,
-		opLFBase, opLFCheck, opLFCheckInv,
-		opSBCheckLoad, opSBCheckStore, opLFCheckLoad, opLFCheckStore:
+		opLFBase, opLFCheck, opLFCheckInv:
 		return natInline
 	case opAlloca, opGEPDyn, opCallInt, opCallExt,
 		opSBSSAlloc, opSBSSSetArg, opSBSSArgBase, opSBSSArgBound,
@@ -190,11 +188,11 @@ func natGateIO(fn *Fn, o *op, reads, writes []int32) ([]int32, []int32, bool) {
 
 // natContribOf computes the static accounting of one inline or terminator
 // op, and, in a profiled program, the site it commits to (id 0 for none).
-func natContribOf(fn *Fn, cm *vm.CostModel, prof bool, o *op) (natContrib, natSiteContrib) {
+func natContribOf(cm *vm.CostModel, prof bool, o *op) (natContrib, natSiteContrib) {
 	if o.code >= opUncountedStart {
 		return natContrib{}, natSiteContrib{} // PhiCopy/ErrRaw account for themselves
 	}
-	c := natContrib{in: 1, co: o.cost, st: 1}
+	c := natContrib{in: 1, co: o.cost}
 	switch o.code {
 	case opLoad:
 		c.ld = 1
@@ -212,18 +210,6 @@ func natContribOf(fn *Fn, cm *vm.CostModel, prof bool, o *op) (natContrib, natSi
 		c.iv, c.co = 1, c.co+cm.LFCheck
 	case opLFBase:
 		c.co += cm.LFBase
-	case opSBCheckLoad:
-		c.in, c.st, c.ck, c.ld = 2, 2, 1, 1
-		c.co += cm.SBCheck + fn.aux[o.x].cost2
-	case opSBCheckStore:
-		c.in, c.st, c.ck, c.sr = 2, 2, 1, 1
-		c.co += cm.SBCheck + fn.aux[o.x].cost2
-	case opLFCheckLoad:
-		c.in, c.st, c.ck, c.ld = 2, 2, 1, 1
-		c.co += cm.LFCheck + fn.aux[o.x].cost2
-	case opLFCheckStore:
-		c.in, c.st, c.ck, c.sr = 2, 2, 1, 1
-		c.co += cm.LFCheck + fn.aux[o.x].cost2
 	}
 	// The ops the interpreter bumps a site for commit it here too. Site 0
 	// means "no site", mirroring the VM's bumpSite.
@@ -234,9 +220,9 @@ func natContribOf(fn *Fn, cm *vm.CostModel, prof bool, o *op) (natContrib, natSi
 	switch o.code {
 	case opSBStoreMD:
 		s = natSiteContrib{id: o.imm, ex: 1, co: cm.SBMetaStore}
-	case opSBCheck, opSBCheckLoad, opSBCheckStore:
+	case opSBCheck:
 		s = natSiteContrib{id: o.imm, ex: 1, co: cm.SBCheck}
-	case opLFCheck, opLFCheckInv, opLFCheckLoad, opLFCheckStore:
+	case opLFCheck, opLFCheckInv:
 		s = natSiteContrib{id: o.imm, ex: 1, co: cm.LFCheck}
 	}
 	return c, s
@@ -561,22 +547,22 @@ func (g *natGen) flush() {
 }
 
 func (g *natGen) emitBatch(units []int) {
-	fn, ops := g.fn, g.fn.ops
+	ops := g.fn.ops
 	n := len(units)
 	g.contribs = natResize(g.contribs, n)
 	g.unitSites = natResize(g.unitSites, n)
 	var tot natContrib
 	for j, pc := range units {
-		g.contribs[j], g.unitSites[j] = natContribOf(fn, g.cm, g.prof, &ops[pc])
+		g.contribs[j], g.unitSites[j] = natContribOf(g.cm, g.prof, &ops[pc])
 		tot.add(g.contribs[j])
 	}
 	pc0 := units[0]
-	if tot.st > 0 {
+	if tot.in > 0 {
 		g.bailAt[pc0] = true
-		g.pf("if ev.Cnt[%d]+%d > ev.Cnt[%d] {\ngoto bail%d\n}\n", cntSteps, tot.st, cntMaxSteps, pc0)
+		g.pf("if ev.Cnt[%d]+%d > ev.Cnt[%d] {\ngoto bail%d\n}\n", cntSteps, tot.in, cntMaxSteps, pc0)
 		g.pf("if ev.Cnt[%d] <= %d {\nif ev.Poll() != 0 {\ngoto bail%d\n}\nev.Cnt[%d] = %d - (%d - ev.Cnt[%d])\n} else {\nev.Cnt[%d] -= %d\n}\n",
-			cntCountdown, tot.st, pc0, cntCountdown, vm.InterruptStride, tot.st, cntCountdown, cntCountdown, tot.st)
-		g.pf("ev.Cnt[%d] += %d\n", cntSteps, tot.st)
+			cntCountdown, tot.in, pc0, cntCountdown, vm.InterruptStride, tot.in, cntCountdown, cntCountdown, tot.in)
+		g.pf("ev.Cnt[%d] += %d\n", cntSteps, tot.in)
 	}
 	addC := func(idx int, v uint64) {
 		if v != 0 {
@@ -868,30 +854,6 @@ func (g *natGen) emitOp(pc int, suf natContrib) {
 		g.pf("{\nri%d := %s >> 35\nif ri%d >= 1 && ri%d <= 27 {\nsz%d := uint64(16) << (ri%d - 1)\nif %s-%s > sz%d-1 {\n%sreturn 0, ev.LFFail(1, %s, 0, %s)\n}\n}\n}\n",
 			t, g.r(o.b), t, t, t, t, g.r(o.a), g.r(o.b), t, suf, g.r(o.a), g.r(o.b))
 
-	case opSBCheckLoad, opSBCheckStore, opLFCheckLoad, opLFCheckStore:
-		// The check half owes the access half's unearned accounting if it
-		// fails; the access half owes its own load or store count.
-		isLoad := fn.aux[o.x].load
-		sufC, sufA := suf, suf
-		sufC.in, sufC.co = sufC.in+1, sufC.co+fn.aux[o.x].cost2
-		if isLoad {
-			sufC.ld++
-			sufA.ld++
-		} else {
-			sufC.sr++
-			sufA.sr++
-		}
-		if o.code == opSBCheckLoad || o.code == opSBCheckStore {
-			g.emitSBCheck(g.r(o.a), g.r(o.b), g.r(o.c), g.r(o.d), sufC, g.site(o))
-		} else {
-			g.emitLFCheck(g.r(o.a), g.r(o.b), g.r(o.c), sufC, g.site(o))
-		}
-		if isLoad {
-			g.emitAccess(true, g.r(o.a), o.wbits, g.w(o.dst), sufA)
-		} else {
-			g.emitAccess(false, g.r(o.a), o.wbits, g.r(o.dst), sufA)
-		}
-
 	case opBr:
 		g.pf("goto bb%d\n", o.b)
 	case opCondBr:
@@ -979,8 +941,8 @@ func (g *natGen) emitBlock(bi int) {
 		o := &fn.ops[pc]
 		switch natClass(o.code) {
 		case natTerm:
-			c, _ := natContribOf(fn, g.cm, g.prof, o)
-			if g.steps+c.st > natBatchMaxSteps {
+			c, _ := natContribOf(g.cm, g.prof, o)
+			if g.steps+c.in > natBatchMaxSteps {
 				g.flush()
 			}
 			g.units = append(g.units, pc)
@@ -990,12 +952,12 @@ func (g *natGen) emitBlock(bi int) {
 			g.flush()
 			g.emitGate(pc)
 		case natInline:
-			c, _ := natContribOf(fn, g.cm, g.prof, o)
-			if g.steps+c.st > natBatchMaxSteps {
+			c, _ := natContribOf(g.cm, g.prof, o)
+			if g.steps+c.in > natBatchMaxSteps {
 				g.flush()
 			}
 			g.units = append(g.units, pc)
-			g.steps += c.st
+			g.steps += c.in
 		default:
 			g.ok = false
 			return

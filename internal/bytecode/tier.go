@@ -85,11 +85,3 @@ func TierStats() ([]TierFnStats, uint64) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Func < rows[j].Func })
 	return rows, tierTotalInstrs
 }
-
-// ResetTierStats clears the process-wide tier-attribution table (tests).
-func ResetTierStats() {
-	tierMu.Lock()
-	defer tierMu.Unlock()
-	tierFnAgg = map[string]*TierFnStats{}
-	tierTotalInstrs = 0
-}

@@ -58,8 +58,7 @@ func TestWatchdogInterruptsInfiniteLoop(t *testing.T) {
 
 // TestWatchdogInterruptLatencyBounded verifies the instruction-budget bound:
 // a flag raised before the run starts stops both engines within one poll
-// stride (plus the handful of uncounted bookkeeping instructions a fused
-// opcode may add), not after millions of instructions.
+// stride, not after millions of instructions.
 func TestWatchdogInterruptLatencyBounded(t *testing.T) {
 	for _, kind := range watchdogEngines {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -75,7 +74,7 @@ func TestWatchdogInterruptLatencyBounded(t *testing.T) {
 			if intr.Reason != vm.IntrCanceled {
 				t.Fatalf("reason = %s, want canceled", vm.ReasonString(intr.Reason))
 			}
-			const slack = 64 // fused opcodes bump steps in small bursts between polls
+			const slack = 64 // headroom: both engines poll exactly every InterruptStride steps
 			if intr.Steps > vm.InterruptStride+slack {
 				t.Fatalf("pre-raised flag observed after %d steps; poll stride is %d",
 					intr.Steps, vm.InterruptStride)

@@ -70,16 +70,6 @@ func Compile(name string, sources ...Source) (m *ir.Module, err error) {
 	return cg.mod, nil
 }
 
-// MustCompile is Compile for tests and embedded programs; it panics on
-// error.
-func MustCompile(name string, sources ...Source) *ir.Module {
-	m, err := Compile(name, sources...)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // mergedVar accumulates the declarations of one global across units.
 type mergedVar struct {
 	name     string

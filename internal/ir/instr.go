@@ -292,15 +292,6 @@ func (in *Instr) StoredValue() Value {
 	return in.Operands[0]
 }
 
-// ReplaceOperand replaces every occurrence of old in the operand list by new.
-func (in *Instr) ReplaceOperand(old, new Value) {
-	for i, op := range in.Operands {
-		if op == old {
-			in.Operands[i] = new
-		}
-	}
-}
-
 // AddPhiIncoming appends an incoming (value, block) pair to a phi.
 func (in *Instr) AddPhiIncoming(v Value, b *Block) {
 	if in.Op != OpPhi {

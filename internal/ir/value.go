@@ -188,12 +188,6 @@ func (p *Param) Type() *Type { return p.Ty }
 // Ref renders the parameter reference.
 func (p *Param) Ref() string { return "%" + p.Name }
 
-// IsConst reports whether v is a constant (including undef).
-func IsConst(v Value) bool {
-	_, ok := v.(Const)
-	return ok
-}
-
 // SameValue reports whether two values are the same SSA value or equal
 // constants. It is used by the dominance-based check elimination to decide
 // whether two checks guard the same pointer.

@@ -113,9 +113,6 @@ func (a *StdAllocator) SizeOf(addr uint64) (uint64, bool) {
 	return s, ok
 }
 
-// Owns reports whether addr lies within the allocator's arena.
-func (a *StdAllocator) Owns(addr uint64) bool { return addr >= a.base && addr < a.limit }
-
 // FindAllocation returns the base and size of the live allocation containing
 // addr, if any. This is O(n log n) on first use after mutations and intended
 // for diagnostics, not hot paths.

@@ -49,13 +49,6 @@ func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 	return nil, fmt.Errorf("unknown log format %q (text, json)", format)
 }
 
-// TextLogger is NewLogger(w, "info", "text") without the error plumbing —
-// the default for -progress style writers.
-func TextLogger(w io.Writer) *slog.Logger {
-	l, _ := NewLogger(w, "info", "text")
-	return l
-}
-
 // traceFallback seeds a process-local generator used only if crypto/rand
 // fails (it effectively never does); guarded because math/rand sources are
 // not concurrency-safe.

@@ -164,7 +164,6 @@ func (v *VM) exec(fr *frame) (uint64, error) {
 			if v.intrCountdown == 0 {
 				v.intrCountdown = InterruptStride
 				if r := v.opts.Interrupt.Raised(); r != IntrNone {
-					v.opts.Interrupt.MarkObserved()
 					return 0, &InterruptError{Reason: r, Steps: v.steps, Trace: v.backtrace()}
 				}
 			}

@@ -24,9 +24,6 @@ type allocRec struct {
 	size uint64
 }
 
-// Flight returns the flight recorder (nil unless forensics is on).
-func (v *VM) Flight() *telemetry.Flight { return v.flight }
-
 // bumpSite attributes one execution to the given site ID. A no-op when
 // profiling is off and for site 0 ("no site"), so the runtime operations
 // call it unconditionally.

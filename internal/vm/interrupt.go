@@ -42,11 +42,6 @@ func interruptReasonName(r uint32) string {
 // use.
 type InterruptFlag struct {
 	reason atomic.Uint32
-	// observed records that an engine actually aborted on the raised flag
-	// (as opposed to the cell finishing before its poll noticed). The
-	// distinction feeds the watchdog delivery metrics: a deadline that fires
-	// after the cell's last instruction is raised but never observed.
-	observed atomic.Uint32
 }
 
 // Interrupt raises the flag with the given reason. The first reason to land
@@ -64,21 +59,6 @@ func (f *InterruptFlag) Raised() uint32 {
 		return IntrNone
 	}
 	return f.reason.Load()
-}
-
-// MarkObserved is called by an engine at the moment it aborts execution on
-// the raised flag; it is on the abort path only, never the poll path, so the
-// hot loop stays untouched.
-func (f *InterruptFlag) MarkObserved() {
-	if f == nil {
-		return
-	}
-	f.observed.Store(1)
-}
-
-// Observed reports whether an engine aborted on this flag.
-func (f *InterruptFlag) Observed() bool {
-	return f != nil && f.observed.Load() != 0
 }
 
 // interruptStride is how many executed instructions may pass between flag
@@ -113,7 +93,3 @@ func (e *InterruptError) Error() string {
 // ReasonString names an interrupt reason ("deadline", "canceled",
 // "chaos-kill").
 func ReasonString(r uint32) string { return interruptReasonName(r) }
-
-// Interrupted returns the flag the VM polls, or nil. Engines share it so
-// the supervisor's single flag stops whichever engine runs the cell.
-func (v *VM) Interrupted() *InterruptFlag { return v.opts.Interrupt }

@@ -66,8 +66,8 @@ type Options struct {
 	Cost *CostModel
 	// SiteProfile enables per-check-site execution counters: every executed
 	// check/metadata operation with a nonzero ir.Instr.Site is attributed to
-	// its site (see internal/telemetry). Off by default; when disabled the
-	// engines pay nothing for it.
+	// its site (see internal/telemetry). Off by default; when disabled each
+	// such operation pays only a nil check.
 	SiteProfile bool
 	// Stdout receives program output; defaults to an internal buffer
 	// readable via Output.
@@ -91,9 +91,10 @@ type Options struct {
 	// Forensics enables violation forensics: allocation tracking keyed by
 	// ir AllocSite IDs, the flight recorder of recent memory events, and a
 	// structured telemetry.ViolationReport attached to every ViolationError.
-	// Off by default; the disabled path is untouched (the tree interpreter
-	// registers separate recorded handlers, the bytecode engine compiles
-	// recorded opcode variants, mirroring SiteProfile).
+	// Off by default. Both engines call the same runtime operations with
+	// and without it, so a forensic program runs the plain program's
+	// handlers and ops; when disabled each recording point pays only a nil
+	// check, like SiteProfile.
 	Forensics bool
 	// FlightSize is the flight-recorder ring capacity (0 means
 	// telemetry.DefaultFlightSize). Only meaningful with Forensics.
