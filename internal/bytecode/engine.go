@@ -34,15 +34,12 @@ type Engine struct {
 	// (saved/restored across calls); alloca appends through it.
 	fb *[]uint64
 
-	lfStack  bool
-	steps    uint64
-	maxSteps uint64
-	// intr is the VM's cooperative cancellation flag (nil when unused);
-	// intrCountdown schedules the next poll, counted per instruction like
-	// the tree interpreter's, so a raised flag stops every engine at the
-	// same instruction.
-	intr          *vm.InterruptFlag
-	intrCountdown uint64
+	lfStack bool
+	// intr is the VM's cooperative cancellation flag (nil when unused),
+	// polled whenever the step count reaches a multiple of
+	// vm.InterruptStride, as the tree interpreter does, so a raised flag
+	// stops every engine at the same instruction.
+	intr *vm.InterruptFlag
 
 	// consts holds each function's constant pool with global/function
 	// relocations resolved against the bound VM.
@@ -53,17 +50,16 @@ type Engine struct {
 	free   [][]uint64
 	phibuf []uint64
 
-	// One-entry page cache for the load/store fast path. pageID is the page
-	// number plus one so the zero value never matches.
-	pageID uint64
-	page   *[mem.PageSize]byte
-
-	// nat is the native-tier binding (compiler tier; plain and site-profiled
-	// runs): the program's loaded plugin plus this engine's environment.
-	// natFn tracks the function currently executing natively, giving the
-	// environment's error and gate closures their op context across nested
-	// calls.
-	nat   *natBind
+	// env is the engine's execution state, shared with native code: the
+	// step count and limit, the page cache the load/store fast path uses,
+	// and, once native code is bound, the statistics views and closures.
+	env natEnv
+	// nat is the loaded native program (compiler tier; plain and
+	// site-profiled runs), nil when every function stays on the dispatch
+	// loop. natFn tracks the function currently executing natively, giving
+	// the environment's error and gate closures their op context across
+	// nested calls.
+	nat   *natProg
 	natFn *Fn
 
 	// tierFns, when non-nil (compiler tier), accumulates per-function tier
@@ -104,18 +100,17 @@ func NewEngine(p *Program, machine *vm.VM) (*Engine, error) {
 		return nil, fmt.Errorf("bytecode: program compiled with Forensics=%v but VM has Forensics=%v", p.rec, opts.Forensics)
 	}
 	e := &Engine{
-		vm:            machine,
-		p:             p,
-		cm:            machine.CostModel(),
-		st:            &machine.Stats,
-		cover:         opts.CoverInstrs,
-		prof:          machine.SiteProfile(),
-		lfStack:       opts.LowFatStack,
-		maxSteps:      machine.StepLimit(),
-		intr:          opts.Interrupt,
-		intrCountdown: vm.InterruptStride,
-		consts:        make([][]uint64, len(p.fns)),
+		vm:      machine,
+		p:       p,
+		cm:      machine.CostModel(),
+		st:      &machine.Stats,
+		cover:   opts.CoverInstrs,
+		prof:    machine.SiteProfile(),
+		lfStack: opts.LowFatStack,
+		intr:    opts.Interrupt,
+		consts:  make([][]uint64, len(p.fns)),
 	}
+	e.env.Cnt[cntMaxSteps] = machine.StepLimit()
 	for i, fn := range p.fns {
 		cs := make([]uint64, len(fn.consts))
 		for j, ce := range fn.consts {
@@ -139,8 +134,8 @@ func NewEngine(p *Program, machine *vm.VM) (*Engine, error) {
 	// on the binding.
 	if p.tier == EngineCompiler && opts.CoverInstrs == nil {
 		e.tierFns = make([]tierCount, len(p.fns))
-		if np := p.native(); np != nil {
-			e.nat = &natBind{prog: np, env: e.newNatEnv()}
+		if e.nat = p.native(); e.nat != nil {
+			e.bindEnv()
 		}
 	}
 	return e, nil
@@ -245,21 +240,32 @@ func (e *Engine) call(fn *Fn, args []uint64) (uint64, error) {
 	return ret, err
 }
 
-// load is the fast-path memory read: page-cached for in-page aligned-width
-// accesses, delegating to the address space otherwise (faults, budget
-// charging and page-straddling reads keep their exact semantics there).
+// fill loads the page backing addr into page-cache slot s.
+func (e *Engine) fill(addr, s uint64) error {
+	pg, err := e.vm.AS.Page(addr)
+	if err != nil {
+		return err
+	}
+	e.env.Pages[s], e.env.PageID[s] = pg, addr>>mem.PageBits+1
+	return nil
+}
+
+// load is the fast-path memory read: in-page aligned-width accesses go
+// through the page cache native code shares, everything else to the address
+// space (faults, budget charging and page-straddling reads keep their exact
+// semantics there).
 func (e *Engine) load(addr uint64, width uint8) (uint64, error) {
 	w := uint64(width)
 	off := addr & (mem.PageSize - 1)
 	if addr >= mem.NullGuardSize && off+w <= mem.PageSize && addr+w > addr {
-		if pn := addr>>mem.PageBits + 1; pn != e.pageID {
-			pg, err := e.vm.AS.Page(addr)
-			if err != nil {
+		pn := addr>>mem.PageBits + 1
+		s := natSlot(pn)
+		if e.env.PageID[s] != pn {
+			if err := e.fill(addr, s); err != nil {
 				return 0, err
 			}
-			e.page, e.pageID = pg, pn
 		}
-		d := e.page[off:]
+		d := e.env.Pages[s][off:]
 		switch width {
 		case 8:
 			return binary.LittleEndian.Uint64(d), nil
@@ -278,14 +284,14 @@ func (e *Engine) store(addr uint64, width uint8, val uint64) error {
 	w := uint64(width)
 	off := addr & (mem.PageSize - 1)
 	if addr >= mem.NullGuardSize && off+w <= mem.PageSize && addr+w > addr {
-		if pn := addr>>mem.PageBits + 1; pn != e.pageID {
-			pg, err := e.vm.AS.Page(addr)
-			if err != nil {
+		pn := addr>>mem.PageBits + 1
+		s := natSlot(pn)
+		if e.env.PageID[s] != pn {
+			if err := e.fill(addr, s); err != nil {
 				return err
 			}
-			e.page, e.pageID = pg, pn
 		}
-		d := e.page[off:]
+		d := e.env.Pages[s][off:]
 		switch width {
 		case 8:
 			binary.LittleEndian.PutUint64(d, val)
@@ -329,7 +335,8 @@ func b2u(b bool) uint64 {
 
 // exec is the dispatch loop. The preamble above the switch is the exact
 // accounting sequence of the reference interpreter's instruction loop:
-// step++, step-limit check, Stats.Instrs++, Stats.Cost, coverage mark.
+// step++, step-limit check, interrupt poll at every multiple of
+// vm.InterruptStride, Stats.Instrs++, Stats.Cost, coverage mark.
 //
 // Under the compiler tier a function with native code enters it once, at
 // pc 0; a bail-out (step limit inside a batch, interrupt pending) ends the
@@ -347,6 +354,7 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 
 	st := e.st
 	cm := e.cm
+	cnt := &e.env.Cnt
 	cover := e.cover
 	ops := fn.ops
 	pc := 0
@@ -360,13 +368,10 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 	for {
 		o := &ops[pc]
 		if o.code < opUncountedStart {
-			e.steps++
-			if e.steps > e.maxSteps {
-				return 0, e.rte(pc, "step limit exceeded")
-			}
-			e.intrCountdown--
-			if e.intrCountdown == 0 {
-				if err := e.poll(); err != nil {
+			s := cnt[cntSteps] + 1
+			cnt[cntSteps] = s
+			if s > cnt[cntMaxSteps] || s%vm.InterruptStride == 0 {
+				if err := e.stepEvent(pc); err != nil {
 					return 0, err
 				}
 			}
@@ -735,13 +740,15 @@ func (e *Engine) gate(fn *Fn, pc int, regs []uint64) error {
 	return nil
 }
 
-// poll resets the interrupt countdown, which just reached zero, and reports
-// a raised interrupt: the reference interpreter polls once every
-// vm.InterruptStride instructions.
-func (e *Engine) poll() error {
-	e.intrCountdown = vm.InterruptStride
+// stepEvent handles a step at the op at pc that reached the step limit or a
+// multiple of vm.InterruptStride: it raises the step-limit error, or reports
+// a raised interrupt as the reference interpreter's poll does.
+func (e *Engine) stepEvent(pc int) error {
+	if e.env.Cnt[cntSteps] > e.env.Cnt[cntMaxSteps] {
+		return e.rte(pc, "step limit exceeded")
+	}
 	if r := e.intr.Raised(); r != vm.IntrNone {
-		return &vm.InterruptError{Reason: r, Steps: e.steps}
+		return &vm.InterruptError{Reason: r, Steps: e.env.Cnt[cntSteps]}
 	}
 	return nil
 }

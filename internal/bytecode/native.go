@@ -21,8 +21,7 @@ import (
 
 // The native tier's runtime: building, caching and loading the generated
 // plugin (native_gen.go), and the host half of its ABI (native_env.go) — the
-// environment closures, the statistics sync protocol and the one-op gate
-// interpreter.
+// environment closures and the one-op gate interpreter.
 //
 // A Program under the compiler tier is lowered to Go source, compiled with
 // `go build -buildmode=plugin` into a content-addressed .so under the user
@@ -43,13 +42,6 @@ type natProg struct {
 // don't retry).
 type natState struct {
 	prog *natProg
-}
-
-// natBind is an Engine's native binding: the loaded program plus the
-// per-engine environment (counters, page cache, closures).
-type natBind struct {
-	prog *natProg
-	env  *natEnv
 }
 
 // NativeTierStats counts native-tier build activity for observability.
@@ -323,24 +315,14 @@ func natBuildPlugin(key, src string) (string, error) {
 	return soPath, nil
 }
 
-// newNatEnv builds the per-engine environment: the counter block, the page
-// cache, and the host closures the generated code calls for slow paths,
-// faults and gated ops.
-// natSiteWordsCheck pins the vm.SiteCount layout the flat Sites view relies
-// on: three uint64 words per site (Execs, Wide, Cost), no padding. Either
-// array length goes negative — a compile error — if the struct changes size.
-var (
-	_ [unsafe.Sizeof(vm.SiteCount{}) - natSiteWords*8]byte
-	_ [natSiteWords*8 - unsafe.Sizeof(vm.SiteCount{})]byte
-)
-
-func (e *Engine) newNatEnv() *natEnv {
-	ev := &natEnv{}
+// bindEnv points the engine's environment at the VM's statistics and site
+// profile and installs the host closures the generated code calls for slow
+// paths, faults and gated ops. Statistics, steps and the page cache need no
+// sync: native code and the dispatch loop share those words.
+func (e *Engine) bindEnv() {
+	ev := &e.env
+	ev.Stats = (*[natStatsWords]uint64)(unsafe.Pointer(e.st))
 	if len(e.prof) > 0 {
-		// Zero-copy flat view of the shared per-site profile: generated code
-		// for profiled programs commits site counters directly into the same
-		// memory the interpreter tiers bump, so profiles stay bit-identical
-		// no matter which tier retired each check.
 		ev.Sites = unsafe.Slice((*uint64)(unsafe.Pointer(&e.prof[0])), len(e.prof)*natSiteWords)
 	}
 	ev.Poll = func() uint64 { return uint64(e.intr.Raised()) }
@@ -365,51 +347,14 @@ func (e *Engine) newNatEnv() *natEnv {
 	}
 	ev.Rte = func(pc uint64) error { return e.natRte(int(pc)) }
 	ev.Gate = func(pc uint64, regs []uint64) error {
-		e.natFlush(ev)
 		g0 := e.st.Instrs
 		err := e.gateOp(e.natFn, int(pc), regs)
 		if e.tierFns != nil {
 			e.natGateInstrs += e.st.Instrs - g0
 			e.tierFns[e.natFn.idx].gates++
 		}
-		e.natLoad(ev)
 		return err
 	}
-	return ev
-}
-
-// natLoad checks engine state out into the counter block (entering native
-// code); natFlush checks it back in (leaving it). While native code runs,
-// the counter block is authoritative for the mirrored fields.
-func (e *Engine) natLoad(ev *natEnv) {
-	st := e.st
-	ev.Cnt[cntInstrs] = st.Instrs
-	ev.Cnt[cntCost] = st.Cost
-	ev.Cnt[cntLoads] = st.Loads
-	ev.Cnt[cntStores] = st.Stores
-	ev.Cnt[cntChecks] = st.Checks
-	ev.Cnt[cntWide] = st.WideChecks
-	ev.Cnt[cntInv] = st.InvariantChecks
-	ev.Cnt[cntMetaLoads] = st.MetaLoads
-	ev.Cnt[cntMetaStores] = st.MetaStores
-	ev.Cnt[cntSteps] = e.steps
-	ev.Cnt[cntCountdown] = e.intrCountdown
-	ev.Cnt[cntMaxSteps] = e.maxSteps
-}
-
-func (e *Engine) natFlush(ev *natEnv) {
-	st := e.st
-	st.Instrs = ev.Cnt[cntInstrs]
-	st.Cost = ev.Cnt[cntCost]
-	st.Loads = ev.Cnt[cntLoads]
-	st.Stores = ev.Cnt[cntStores]
-	st.Checks = ev.Cnt[cntChecks]
-	st.WideChecks = ev.Cnt[cntWide]
-	st.InvariantChecks = ev.Cnt[cntInv]
-	st.MetaLoads = ev.Cnt[cntMetaLoads]
-	st.MetaStores = ev.Cnt[cntMetaStores]
-	e.steps = ev.Cnt[cntSteps]
-	e.intrCountdown = ev.Cnt[cntCountdown]
 }
 
 // natRte reconstructs the runtime error the interpreter raises at pc: the
@@ -436,21 +381,19 @@ func (e *Engine) natCode(fn *Fn) natFunc {
 	if e.nat == nil {
 		return nil
 	}
-	return e.nat.prog.fns[fn.idx]
+	return e.nat.fns[fn.idx]
 }
 
 // execNative runs fn's native code from its entry over the canonical
 // register file. It returns either the function's result (done=true) or the
 // pc to resume interpretation at after a bail-out.
 func (e *Engine) execNative(fn *Fn, code natFunc, regs []uint64) (npc int, ret uint64, done bool, err error) {
-	ev := e.nat.env
+	ev := &e.env
 	savedFn, savedGate := e.natFn, e.natGateInstrs
 	e.natFn = fn
 	e.natGateInstrs = 0
 	i0 := e.st.Instrs
-	e.natLoad(ev)
 	r, err := code(regs, ev)
-	e.natFlush(ev)
 	bailed := err == nil && ev.Cnt[cntBail] != 0
 	if e.tierFns != nil {
 		tc := &e.tierFns[fn.idx]
@@ -482,13 +425,10 @@ func (e *Engine) execNative(fn *Fn, code natFunc, regs []uint64) (npc int, ret u
 // Coverage runs never reach native code, so there is no cover mark.
 func (e *Engine) gateOp(fn *Fn, pc int, regs []uint64) error {
 	o := &fn.ops[pc]
-	e.steps++
-	if e.steps > e.maxSteps {
-		return e.rte(pc, "step limit exceeded")
-	}
-	e.intrCountdown--
-	if e.intrCountdown == 0 {
-		if err := e.poll(); err != nil {
+	s := e.env.Cnt[cntSteps] + 1
+	e.env.Cnt[cntSteps] = s
+	if s > e.env.Cnt[cntMaxSteps] || s%vm.InterruptStride == 0 {
+		if err := e.stepEvent(pc); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,12 @@
 package bytecode
 
-// The native tier's plugin ABI.
+import (
+	"unsafe"
+
+	"repro/internal/vm"
+)
+
+// The native tier's plugin ABI and the engine's execution state.
 //
 // A natively compiled program is a generated Go plugin (native_gen.go emits
 // the source, native.go builds and loads it). The plugin deliberately imports
@@ -14,36 +20,40 @@ package bytecode
 //
 // natEnv is that boundary. It is an *alias* for an unnamed struct type; the
 // generator emits the exact same struct literal under its own alias, so the
-// host-side type assertion on the looked-up symbol holds. The first fields
-// are per-engine state arrays (counters and a direct-mapped page cache); the
-// rest are host closures for everything the generated code cannot do itself:
-// interrupt polling, page-table walks, slow-path memory access, metadata trie
-// operations, error construction, and a one-op interpreter gate for rare ops
-// (calls, allocas, shadow-stack traffic, range checks, dynamic GEPs).
+// host-side type assertion on the looked-up symbol holds. Every Engine embeds
+// one by value, and it holds the only copy of each piece of execution state:
+// the step count and limit, views of the VM's vm.Stats and site profile, and
+// the direct-mapped page cache. The dispatch loop and native code read and
+// write the same words, so nothing is copied at a native entry, exit or gate.
+// The remaining fields are host closures for everything the generated code
+// cannot do itself: interrupt polling, page-table walks, slow-path memory
+// access, metadata trie operations, error construction, and a one-op
+// interpreter gate for rare ops (calls, allocas, shadow-stack traffic, range
+// checks, dynamic GEPs); they are set only when native code is bound.
 //
 // Any change to this struct must be mirrored byte-for-byte in the source the
 // generator emits (natEnvDecl in native_gen.go) — the two spellings are
 // compared by the compiler's structural identity, so a field rename or
 // reorder silently produces "plugin symbol has wrong type" fallbacks.
 type natEnv = struct {
-	// Cnt is the counter block shared between host and generated code; see
-	// the cnt* indices below. The host syncs it with vm.Stats (and the
-	// engine's step/countdown state) at native entry/exit and around gate
-	// calls, so generated code can batch statistics with plain adds.
-	Cnt [16]uint64
+	// Cnt holds the step count, the step limit (read-only for the plugin)
+	// and the bail-out protocol words; see the cnt* indices below.
+	Cnt [4]uint64
+	// Stats is a zero-copy view of the VM's vm.Stats (natStatsWords words,
+	// indexed by the st* offsets below), so generated code commits batched
+	// statistics with plain adds into the memory the interpreter bumps.
+	Stats *[14]uint64
 	// PageID/Pages form a direct-mapped page cache (natPageWays slots,
-	// indexed by a fold of the page number, see natSlotExpr; IDs are page
-	// number plus one so the zero value never matches). It is per-engine
-	// state owned by the host so concurrent engines on the same plugin
-	// never share translations.
+	// indexed by natSlot of the page id; IDs are page number plus one so the
+	// zero value never matches). The dispatch loop's loads and stores and
+	// native code's go through the same slots.
 	PageID [512]uint64
 	Pages  [512]*[65536]byte
 	// Sites is a flat view of the VM's per-site profile (vm.SiteCount laid
 	// out as three uint64 words per site: Execs, Wide, Cost), so generated
 	// code for profiled programs can batch site-counter commits with plain
-	// adds at compile-time-constant indices. The host points it at the
-	// engine's shared profile slice; it is nil (and never referenced by the
-	// generated code) for unprofiled programs. Site IDs are validated
+	// adds at compile-time-constant indices. It is nil (and never referenced
+	// by the generated code) for unprofiled programs. Site IDs are validated
 	// against the module at VM construction, so generated indices are
 	// always in bounds.
 	Sites []uint64
@@ -84,34 +94,44 @@ type natEnv = struct {
 // registers it wrote that are live at the bail pc.
 type natFunc = func([]uint64, *natEnv) (uint64, error)
 
-// Counter-block indices. cntInstrs..cntMetaStores mirror the identically
-// named vm.Stats fields; cntSteps/cntCountdown mirror the engine's step and
-// interrupt-poll state; cntMaxSteps is the step limit (read-only for the
-// plugin); cntBail/cntBailPC carry the bail-out protocol.
+// Cnt indices: the engine's step count (every tier counts here), its step
+// limit, and the bail-out protocol.
 const (
-	cntInstrs = iota
-	cntCost
-	cntLoads
-	cntStores
-	cntChecks
-	cntWide
-	cntInv
-	cntMetaLoads
-	cntMetaStores
-	cntSteps
-	cntCountdown
+	cntSteps = iota
 	cntMaxSteps
 	cntBail
 	cntBailPC
 )
 
-// natPageWays is the plugin page cache's way count; natBatchMaxSteps caps a
-// generated accounting batch so the interrupt countdown (reset stride
-// vm.InterruptStride) can cross zero at most once per batch.
+// Word offsets of the vm.Stats fields generated code commits, inside the
+// natEnv.Stats view.
+const (
+	stInstrs     = uint64(unsafe.Offsetof(vm.Stats{}.Instrs) / 8)
+	stCost       = uint64(unsafe.Offsetof(vm.Stats{}.Cost) / 8)
+	stLoads      = uint64(unsafe.Offsetof(vm.Stats{}.Loads) / 8)
+	stStores     = uint64(unsafe.Offsetof(vm.Stats{}.Stores) / 8)
+	stChecks     = uint64(unsafe.Offsetof(vm.Stats{}.Checks) / 8)
+	stWide       = uint64(unsafe.Offsetof(vm.Stats{}.WideChecks) / 8)
+	stInv        = uint64(unsafe.Offsetof(vm.Stats{}.InvariantChecks) / 8)
+	stMetaLoads  = uint64(unsafe.Offsetof(vm.Stats{}.MetaLoads) / 8)
+	stMetaStores = uint64(unsafe.Offsetof(vm.Stats{}.MetaStores) / 8)
+)
+
+// natPageWays is the page cache's way count; natBatchMaxSteps caps a
+// generated accounting batch below vm.InterruptStride, so the step count
+// crosses at most one multiple of the stride (one poll) per batch.
 const (
 	natPageWays      = 512
 	natBatchMaxSteps = 256
 )
+
+// natSlot is the page-cache slot of page id pn (page number plus one): its
+// low bits with the higher bits folded in. Every Low-Fat region spans 1<<19
+// pages, so the low bits alone would put the first page of all 27 size
+// regions in one slot and the top of every region's stack mirror in
+// another; the fold spreads them, the heap, the globals and the stack over
+// distinct slots. natSlotExpr is the same function spelled in generated Go.
+func natSlot(pn uint64) uint64 { return (pn ^ pn>>16 ^ pn>>20) & (natPageWays - 1) }
 
 // Word offsets of the vm.SiteCount fields inside the flat natEnv.Sites view
 // (natSiteWords words per site).
@@ -120,4 +140,17 @@ const (
 	natSiteWide  = 1
 	natSiteCost  = 2
 	natSiteWords = 3
+)
+
+// natStatsWords is the length of the natEnv.Stats view.
+const natStatsWords = 14
+
+// The views pin the layouts they rely on: vm.Stats is natStatsWords uint64
+// words and vm.SiteCount natSiteWords, with no padding. An array length
+// goes negative — a compile error — if either struct changes size.
+var (
+	_ [unsafe.Sizeof(vm.Stats{}) - natStatsWords*8]byte
+	_ [natStatsWords*8 - unsafe.Sizeof(vm.Stats{})]byte
+	_ [unsafe.Sizeof(vm.SiteCount{}) - natSiteWords*8]byte
+	_ [natSiteWords*8 - unsafe.Sizeof(vm.SiteCount{})]byte
 )

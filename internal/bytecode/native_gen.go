@@ -17,10 +17,12 @@ import (
 //   - registers as Go locals (real register allocation instead of a []uint64
 //     round-trip per operand),
 //   - blocks as labels and branches as direct gotos (no dispatch at all),
-//   - statistics batched per accounting run: steps, the interrupt countdown,
-//     instruction count, cost and the static check/memory counters commit
-//     once per batch with constant adds; fault paths subtract the statically
-//     known accounting of the batch suffix the interpreter would not have
+//   - statistics batched per accounting run: steps, instruction count, cost
+//     and the static check/memory counters commit once per batch with
+//     constant adds, straight into the engine's step count and the VM's
+//     vm.Stats (through the env's view, copied into the local st in each
+//     function's prologue); fault paths subtract the statically known
+//     accounting of the batch suffix the interpreter would not have
 //     executed, so vm.Stats is bit-identical at every observable stop point,
 //   - the page-cache memory fast path, SoftBound bounds checks and Low-Fat
 //     region arithmetic inlined with compile-time constants (widths, masks,
@@ -29,13 +31,16 @@ import (
 //     shadow-stack ops, range checks, dynamic GEPs via the one-op gate, and
 //     fault construction via dedicated error callbacks.
 //
-// Exactness: a batch only commits after proving the step limit is not
-// reachable inside it and handling at most one interrupt-countdown crossing
-// via the poll callback; when either condition fails the function bails out
-// to the generic interpreter at a valid op boundary, which then replays the
-// ops one at a time with the exact per-op preamble — so step-limit faults and
-// interrupt observations land on exactly the op, and with exactly the
-// statistics, the reference interpreter reports.
+// Exactness: every engine polls the interrupt flag when its step count
+// reaches a multiple of vm.InterruptStride. A batch of n steps only commits
+// after proving the step limit is not reachable inside it and, when it
+// crosses a multiple (steps%stride + n >= stride; n <= natBatchMaxSteps <
+// stride allows at most one), polling once via the callback; when the limit
+// is in reach or the flag is raised the function bails out to the generic
+// interpreter at a valid op boundary, which then replays the ops one at a
+// time with the exact per-op preamble — so step-limit faults and interrupt
+// observations land on exactly the op, and with exactly the statistics, the
+// reference interpreter reports.
 //
 // Native code is entered only at a function's first op, so a generated
 // function loads just its parameters and constants from the register file
@@ -56,7 +61,8 @@ import (
 // declaration in native_env.go: the plugin and the host assert type identity
 // structurally on this unnamed struct.
 const natEnvDecl = `type env = struct {
-	Cnt    [16]uint64
+	Cnt    [4]uint64
+	Stats  *[14]uint64
 	PageID [512]uint64
 	Pages  [512]*[65536]byte
 	Sites  []uint64
@@ -76,13 +82,12 @@ const natEnvDecl = `type env = struct {
 
 // natContrib is the statically known statistics contribution of one op (or a
 // batch of ops): the vm.Stats deltas. Every counted op is one instruction,
-// so the instruction count (in) is also the counted-step total and the
-// interrupt-countdown decrement. For profiled programs,
-// sites holds the site contribution of each op in the batch (id 0 for an op
-// without one; wide counts are dynamic and bump inline); they commit and
-// roll back with the same suffix discipline as the Cnt words, matching the
-// interpreter's bump-before-check order — a fault at a check keeps that
-// op's own site commit.
+// so the instruction count (in) is also the counted-step total. For
+// profiled programs, sites holds the site contribution of each op in the
+// batch (id 0 for an op without one; wide counts are dynamic and bump
+// inline); they commit and roll back with the same suffix discipline as the
+// vm.Stats words, matching the interpreter's bump-before-check order — a
+// fault at a check keeps that op's own site commit.
 type natContrib struct {
 	in, co, ld, sr, ck, iv, ml, ms uint64
 	sites                          []natSiteContrib
@@ -250,8 +255,8 @@ type (
 	// carries a site. Wide counts are data-dependent, so they commit inline
 	// rather than in the batch statics.
 	natWide uint64
-	// natSlot renders the page-cache slot of the scoped temporary pn<t>.
-	natSlot int
+	// natSlotOf renders the page-cache slot of the scoped temporary pn<t>.
+	natSlotOf int
 )
 
 // natFBOpen opens the interpreter's fbits at a constant width; the caller
@@ -263,12 +268,8 @@ func natFBOpen(bits uint64) string {
 	return "math.Float64bits("
 }
 
-// natSlotExpr appends the page-cache slot of the page id held in pn (page
-// number plus one): its low bits with the higher bits folded in. Every
-// Low-Fat region spans 1<<19 pages, so the low bits alone would put the
-// first page of all 27 size regions in one slot and the top of every
-// region's stack mirror in another; the fold spreads them, the heap, the
-// globals and the stack over distinct slots.
+// natSlotExpr appends the page-cache slot of the page id held in pn: natSlot
+// spelled in generated Go.
 func natSlotExpr(b, pn []byte) []byte {
 	b = append(b, '(')
 	b = append(b, pn...)
@@ -356,8 +357,9 @@ func (g *natGen) pf(format string, args ...any) { g.b = g.appendf(g.b, format, a
 
 // appendf appends format to b with each verb replaced by the next argument.
 // It knows only the verbs the generator uses: %s for strings and the typed
-// operands above, %d and %x (always written 0x%x) for integers. No argument
-// escapes, so rendering allocates nothing beyond growing b.
+// operands above, %d and %x (always written 0x%x) for integers, and %% for a
+// literal percent sign. No argument escapes, so rendering allocates nothing
+// beyond growing b.
 func (g *natGen) appendf(b []byte, format string, args ...any) []byte {
 	ai := 0
 	for {
@@ -370,7 +372,12 @@ func (g *natGen) appendf(b []byte, format string, args ...any) []byte {
 			return b
 		}
 		base := 10
-		if format[i+1] == 'x' {
+		switch format[i+1] {
+		case '%':
+			b = append(b, '%')
+			format = format[i+2:]
+			continue
+		case 'x':
 			base = 16
 		}
 		format = format[i+2:]
@@ -406,11 +413,11 @@ func (g *natGen) appendf(b []byte, format string, args ...any) []byte {
 			}
 			b = append(natAppendReg(b, a.r), ')')
 		case natWide:
-			b = natAppendAdj(b, "ev.Cnt", cntWide, "++", 0)
+			b = natAppendAdj(b, "st", stWide, "++", 0)
 			if a != 0 {
 				b = natAppendAdj(b, "ev.Sites", uint64(a)*natSiteWords+natSiteWide, "++", 0)
 			}
-		case natSlot:
+		case natSlotOf:
 			var pn [24]byte
 			b = natSlotExpr(b, strconv.AppendInt(append(pn[:0], "pn"...), int64(a), 10))
 		case natContrib:
@@ -426,11 +433,11 @@ func (g *natGen) appendf(b []byte, format string, args ...any) []byte {
 // contribution.
 func (g *natGen) appendRB(b []byte, c natContrib) []byte {
 	for _, d := range [...]struct{ idx, v uint64 }{
-		{cntInstrs, c.in}, {cntCost, c.co}, {cntLoads, c.ld}, {cntStores, c.sr},
-		{cntChecks, c.ck}, {cntInv, c.iv}, {cntMetaLoads, c.ml}, {cntMetaStores, c.ms},
+		{stInstrs, c.in}, {stCost, c.co}, {stLoads, c.ld}, {stStores, c.sr},
+		{stChecks, c.ck}, {stInv, c.iv}, {stMetaLoads, c.ml}, {stMetaStores, c.ms},
 	} {
 		if d.v != 0 {
-			b = natAppendAdj(b, "ev.Cnt", d.idx, " -= ", d.v)
+			b = natAppendAdj(b, "st", d.idx, " -= ", d.v)
 		}
 	}
 	for _, s := range g.siteTotals(c.sites) {
@@ -560,23 +567,23 @@ func (g *natGen) emitBatch(units []int) {
 	if tot.in > 0 {
 		g.bailAt[pc0] = true
 		g.pf("if ev.Cnt[%d]+%d > ev.Cnt[%d] {\ngoto bail%d\n}\n", cntSteps, tot.in, cntMaxSteps, pc0)
-		g.pf("if ev.Cnt[%d] <= %d {\nif ev.Poll() != 0 {\ngoto bail%d\n}\nev.Cnt[%d] = %d - (%d - ev.Cnt[%d])\n} else {\nev.Cnt[%d] -= %d\n}\n",
-			cntCountdown, tot.in, pc0, cntCountdown, vm.InterruptStride, tot.in, cntCountdown, cntCountdown, tot.in)
+		g.pf("if ev.Cnt[%d]%%%d >= %d && ev.Poll() != 0 {\ngoto bail%d\n}\n",
+			cntSteps, vm.InterruptStride, vm.InterruptStride-tot.in, pc0)
 		g.pf("ev.Cnt[%d] += %d\n", cntSteps, tot.in)
 	}
-	addC := func(idx int, v uint64) {
+	addC := func(idx, v uint64) {
 		if v != 0 {
-			g.pf("ev.Cnt[%d] += %d\n", idx, v)
+			g.pf("st[%d] += %d\n", idx, v)
 		}
 	}
-	addC(cntInstrs, tot.in)
-	addC(cntCost, tot.co)
-	addC(cntLoads, tot.ld)
-	addC(cntStores, tot.sr)
-	addC(cntChecks, tot.ck)
-	addC(cntInv, tot.iv)
-	addC(cntMetaLoads, tot.ml)
-	addC(cntMetaStores, tot.ms)
+	addC(stInstrs, tot.in)
+	addC(stCost, tot.co)
+	addC(stLoads, tot.ld)
+	addC(stStores, tot.sr)
+	addC(stChecks, tot.ck)
+	addC(stInv, tot.iv)
+	addC(stMetaLoads, tot.ml)
+	addC(stMetaStores, tot.ms)
 	for _, s := range g.siteTotals(g.unitSites) {
 		g.pf("ev.Sites[%d] += %d\n", s.id*natSiteWords+natSiteExecs, s.ex)
 		if s.co != 0 {
@@ -621,7 +628,7 @@ func (g *natGen) emitAccess(isLoad bool, addr natReg, width uint8, val natReg, r
 		return
 	}
 	g.pf("if a%d >= %d && a%d&%d <= %d && a%d+%d > a%d {\n", t, 1<<20, t, 65535, 65536-int(width), t, width, t)
-	g.pf("pn%d := a%d>>16 + 1\ns%d := %s\n", t, t, t, natSlot(t))
+	g.pf("pn%d := a%d>>16 + 1\ns%d := %s\n", t, t, t, natSlotOf(t))
 	g.pf("if ev.PageID[s%d] != pn%d {\npg%d, err%d := ev.PageFor(a%d)\nif err%d != nil {\n%sreturn 0, err%d\n}\nev.Pages[s%d] = pg%d\nev.PageID[s%d] = pn%d\n}\n",
 		t, t, t, t, t, t, rb, t, t, t, t, t)
 	if isLoad {
@@ -879,7 +886,7 @@ func (g *natGen) emitOp(pc int, suf natContrib) {
 		}
 		g.pf("}\n")
 		if n := len(pl.dsts); n > 0 {
-			g.pf("ev.Cnt[%d] += %d\n", cntInstrs, n)
+			g.pf("st[%d] += %d\n", stInstrs, n)
 		}
 		g.pf("goto bb%d\n", o.b)
 
@@ -998,7 +1005,7 @@ func (g *natGen) generate(idx int) bool {
 		}
 	}
 
-	h := g.appendf(g.hdr[:0], "func fn%d(regs []uint64, ev *env) (uint64, error) {\n", idx)
+	h := g.appendf(g.hdr[:0], "func fn%d(regs []uint64, ev *env) (uint64, error) {\nst := ev.Stats\n_ = st\n", idx)
 	rs := g.regsUsed[:0]
 	for r, u := range g.used {
 		if u {

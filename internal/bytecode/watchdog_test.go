@@ -56,16 +56,19 @@ func TestWatchdogInterruptsInfiniteLoop(t *testing.T) {
 	}
 }
 
-// TestWatchdogInterruptLatencyBounded verifies the instruction-budget bound:
-// a flag raised before the run starts stops both engines within one poll
-// stride, not after millions of instructions.
+// TestWatchdogInterruptLatencyBounded pins the one poll rule: every engine
+// polls when its step count reaches a multiple of vm.InterruptStride, so a
+// flag raised before the run starts stops all three engines at exactly the
+// first multiple. On the compiler engine the run starts in native code,
+// whose batch that crosses the stride polls and bails to the interpreter.
 func TestWatchdogInterruptLatencyBounded(t *testing.T) {
-	for _, kind := range watchdogEngines {
+	for _, kind := range append(watchdogEngines, bytecode.EngineCompiler) {
 		t.Run(kind.String(), func(t *testing.T) {
 			m, vopts, _ := prepare(t, spec.InfLoop, harness.BaselineConfig())
 			flag := &vm.InterruptFlag{}
 			flag.Interrupt(vm.IntrCanceled)
 			vopts.Interrupt = flag
+			entries := tierRow("main").NativeEntries
 			out := runUnder(t, kind, m, vopts)
 			var intr *vm.InterruptError
 			if !errors.As(out.err, &intr) {
@@ -74,10 +77,12 @@ func TestWatchdogInterruptLatencyBounded(t *testing.T) {
 			if intr.Reason != vm.IntrCanceled {
 				t.Fatalf("reason = %s, want canceled", vm.ReasonString(intr.Reason))
 			}
-			const slack = 64 // headroom: both engines poll exactly every InterruptStride steps
-			if intr.Steps > vm.InterruptStride+slack {
-				t.Fatalf("pre-raised flag observed after %d steps; poll stride is %d",
+			if intr.Steps != vm.InterruptStride {
+				t.Fatalf("pre-raised flag observed after %d steps, want exactly the poll stride %d",
 					intr.Steps, vm.InterruptStride)
+			}
+			if kind == bytecode.EngineCompiler && bytecode.NativeAvailable() && tierRow("main").NativeEntries == entries {
+				t.Fatal("the compiler engine never entered native code")
 			}
 		})
 	}
@@ -86,8 +91,9 @@ func TestWatchdogInterruptLatencyBounded(t *testing.T) {
 // TestWatchdogNeutrality mirrors TestSiteProfileNeutrality for the interrupt
 // poll: running with an armed-but-never-raised flag must not change any
 // verdict, output or statistic versus running with no flag at all, and must
-// not measurably slow either engine — the countdown poll is the only cost a
-// campaign without -deadline pays for the watchdog.
+// not measurably slow either engine — the poll at every multiple of
+// vm.InterruptStride is the only cost a campaign without -deadline pays for
+// the watchdog.
 func TestWatchdogNeutrality(t *testing.T) {
 	b := spec.All()[0]
 	for _, kind := range watchdogEngines {

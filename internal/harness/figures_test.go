@@ -16,7 +16,7 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long experiment")
 	}
-	r := NewRunner()
+	r := shapeRunner()
 	rows, err := r.Table2()
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestFigure9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long experiment")
 	}
-	r := NewRunner()
+	r := shapeRunner()
 	fig, err := r.Figure9()
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestExtensionPointShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long experiment")
 	}
-	r := NewRunner()
+	r := shapeRunner()
 	fig, err := r.Figure12()
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestEliminationStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long experiment")
 	}
-	r := NewRunner()
+	r := shapeRunner()
 	rows, err := r.EliminationStats(core.MechSoftBound)
 	if err != nil {
 		t.Fatal(err)

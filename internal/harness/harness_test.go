@@ -1,11 +1,18 @@
 package harness
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/spec"
 )
+
+// shapeRunner is the one memoized Runner the figure-shape tests share
+// (TestTable2Shape, TestFigure9Shape, TestExtensionPointShape,
+// TestEliminationStats, TestAllBenchmarksInstrumented), so a cell one of
+// them ran is served from its cache to the next instead of run again.
+var shapeRunner = sync.OnceValue(NewRunner)
 
 // TestAllBenchmarksInstrumented is the central integration test: every
 // benchmark must run to completion under both instrumentations with
@@ -15,7 +22,7 @@ func TestAllBenchmarksInstrumented(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long integration test")
 	}
-	r := NewRunner()
+	r := shapeRunner()
 	for _, b := range spec.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {

@@ -160,9 +160,7 @@ func (v *VM) exec(fr *frame) (uint64, error) {
 			if v.steps > v.maxSteps {
 				return 0, &RuntimeError{Msg: "step limit exceeded", Trace: v.backtrace()}
 			}
-			v.intrCountdown--
-			if v.intrCountdown == 0 {
-				v.intrCountdown = InterruptStride
+			if v.steps%InterruptStride == 0 {
 				if r := v.opts.Interrupt.Raised(); r != IntrNone {
 					return 0, &InterruptError{Reason: r, Steps: v.steps, Trace: v.backtrace()}
 				}

@@ -35,11 +35,11 @@ func interruptReasonName(r uint32) string {
 
 // InterruptFlag is a cooperative cancellation flag shared between a
 // supervising goroutine (watchdog timer, signal handler, chaos injector) and
-// an executing engine. Engines poll it on their step-count path every
-// interruptStride executed instructions, so a raised flag stops a spinning
-// cell within a bounded number of instructions — the same machinery that
-// enforces MaxSteps, extended to external causes. The zero value is ready to
-// use.
+// an executing engine. Engines poll it on their step-count path whenever the
+// count reaches a multiple of InterruptStride, so a raised flag stops a
+// spinning cell within a bounded number of instructions — the same
+// machinery that enforces MaxSteps, extended to external causes. The zero
+// value is ready to use.
 type InterruptFlag struct {
 	reason atomic.Uint32
 }
@@ -61,10 +61,13 @@ func (f *InterruptFlag) Raised() uint32 {
 	return f.reason.Load()
 }
 
-// interruptStride is how many executed instructions may pass between flag
-// polls: the bound on how late a raised flag is observed. Polling is one
-// counter decrement per dispatch plus an atomic load every stride, so the
-// no-deadline path stays within noise (guarded by TestWatchdogNeutrality).
+// InterruptStride is the poll period: every engine polls the flag when its
+// single step count reaches a multiple of it, so a raised flag is observed
+// within InterruptStride instructions and at the same instruction on every
+// engine (native code polls once per batch that crosses a multiple). Polling
+// is a mask test of the step count per dispatch plus an atomic load every
+// stride, so the no-deadline path stays within noise (guarded by
+// TestWatchdogNeutrality).
 const InterruptStride = 1024
 
 // InterruptError reports that execution was stopped by a raised

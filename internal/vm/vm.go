@@ -256,10 +256,6 @@ type VM struct {
 	rng      uint64
 	steps    uint64
 	maxSteps uint64
-	// intrCountdown schedules the next InterruptFlag poll: it counts down
-	// once per executed instruction and triggers a poll at zero, so a
-	// raised flag is observed within interruptStride instructions.
-	intrCountdown uint64
 	// frames is the active interpreter frame stack, innermost last; it
 	// exists purely to produce IR-level backtraces.
 	frames []*frame
@@ -289,7 +285,6 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 	if v.maxSteps == 0 {
 		v.maxSteps = 1 << 34
 	}
-	v.intrCountdown = InterruptStride
 	if opts.SiteProfile {
 		// The VM is created after instrumentation, so the module already
 		// carries its SiteIDs; size the profile to the largest one.
