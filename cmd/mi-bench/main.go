@@ -208,13 +208,11 @@ func main() {
 	}
 
 	r := harness.NewRunner()
-	r.SetEngine(engine)
 	r.SetParallelism(*jobs)
 	if *hotChecks {
 		*siteProf = true
 	}
-	r.SetSiteProfile(*siteProf)
-	r.SetForensics(*forensics)
+	r.SetAxes(harness.RunAxes{Engine: engine, SiteProfile: *siteProf, Forensics: *forensics})
 	var trace *telemetry.Trace
 	if *traceOut != "" {
 		trace = telemetry.NewTrace()
@@ -251,7 +249,6 @@ func main() {
 		MaxAttempts: attempts,
 		BackoffBase: *backoff,
 		MemBudget:   *memBudget,
-		Parallel:    *jobs,
 	})
 	if *chaos {
 		r.SetChaos(faultinject.DefaultChaosPlan(*chaosSeed))

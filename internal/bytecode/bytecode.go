@@ -82,7 +82,7 @@ func ParseEngine(s string) (EngineKind, error) {
 
 // opcode enumerates the bytecode operations. Opcodes below opPhiCopy
 // correspond one-to-one to a counted IR instruction and share the step /
-// instruction-count / cost / coverage preamble; opPhiCopy and opErrRaw are
+// instruction-count / cost preamble; opPhiCopy and opErrRaw are
 // synthetic (edge copies, deferred compile diagnostics) and do their own
 // accounting.
 type opcode uint16
@@ -265,8 +265,26 @@ type dynIdx struct {
 }
 
 // phiPlan is the parallel copy for one CFG edge: all sources are read
-// before any destination is written.
-type phiPlan struct{ srcs, dsts []int32 }
+// before any destination is written. seq marks a plan whose copies may run
+// one after another in order, because no destination is a later source.
+type phiPlan struct {
+	srcs, dsts []int32
+	seq        bool
+}
+
+// orderSafe reports whether copying srcs[i] to dsts[i] for i = 0, 1, ... in
+// turn gives the parallel copy's result: no destination is overwritten
+// before a later copy reads it.
+func orderSafe(srcs, dsts []int32) bool {
+	for i, d := range dsts {
+		for _, s := range srcs[i+1:] {
+			if d == s {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 type intCall struct {
 	callee *ir.Func

@@ -606,6 +606,7 @@ func (c *fnc) edgeTarget(pred, succ *ir.Block) int {
 		pl.srcs = append(pl.srcs, c.regOf(in))
 		pl.dsts = append(pl.dsts, c.regOf(phi))
 	}
+	pl.seq = orderSafe(pl.srcs, pl.dsts)
 	c.fn.phis = append(c.fn.phis, pl)
 	c.push(op{code: opPhiCopy, x: int32(len(c.fn.phis) - 1), b: int32(c.blockPC[succ])})
 	return t

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -282,35 +283,25 @@ func TestProfiledNativeEngages(t *testing.T) {
 	t.Logf("profiled native execution: %d entries, %d native instrs", e1-e0, n1-n0)
 }
 
-// TestDifferentialCoverage checks that the engines agree on which
-// instructions executed (the fault campaign's site-selection input).
-func TestDifferentialCoverage(t *testing.T) {
+// TestEngineRefusesCoverage: only the reference interpreter records
+// instruction coverage (the fault campaign's site-selection input), so the
+// bytecode engines must refuse a VM that asks for it rather than run
+// without marking anything.
+func TestEngineRefusesCoverage(t *testing.T) {
 	b := spec.All()[0]
 	cfg := harness.PaperConfig(core.MechSoftBound)
 	m, vopts, _ := prepare(t, b, cfg)
-
-	coverOf := func(kind bytecode.EngineKind) map[*ir.Instr]bool {
-		o := vopts
-		o.CoverInstrs = make(map[*ir.Instr]bool)
-		machine, err := vm.New(m, o)
+	vopts.CoverInstrs = make(map[*ir.Instr]bool)
+	for _, kind := range diffEngines() {
+		machine, err := vm.New(m, vopts)
 		if err != nil {
 			t.Fatalf("vm.New: %v", err)
 		}
-		if _, rerr := bytecode.RunOn(kind, machine); rerr != nil {
-			t.Fatalf("%v run: %v", kind, rerr)
+		if _, err := bytecode.RunOn(kind, machine); err == nil || !strings.Contains(err.Error(), "coverage") {
+			t.Errorf("%v accepted a coverage VM: err=%v", kind, err)
 		}
-		return o.CoverInstrs
-	}
-	tree := coverOf(bytecode.EngineTree)
-	for _, kind := range diffEngines() {
-		bc := coverOf(kind)
-		if len(tree) != len(bc) {
-			t.Fatalf("coverage size: tree=%d %v=%d", len(tree), kind, len(bc))
-		}
-		for in := range tree {
-			if !bc[in] {
-				t.Errorf("instruction covered by tree only, missed by %v: %s", kind, ir.FormatInstr(in))
-			}
+		if machine.Stats.Instrs != 0 || len(vopts.CoverInstrs) != 0 {
+			t.Errorf("%v ran the program: instrs=%d covered=%d", kind, machine.Stats.Instrs, len(vopts.CoverInstrs))
 		}
 	}
 }

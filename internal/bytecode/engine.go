@@ -21,11 +21,10 @@ import (
 //
 // An Engine is single-use in the same sense a VM is: create one per run.
 type Engine struct {
-	vm    *vm.VM
-	p     *Program
-	cm    *vm.CostModel
-	st    *vm.Stats
-	cover map[*ir.Instr]bool
+	vm *vm.VM
+	p  *Program
+	cm *vm.CostModel
+	st *vm.Stats
 	// prof is the VM's per-site counter slice (indexed by SiteID), shared
 	// with the tree interpreter so both engines' profiles read identically.
 	prof []vm.SiteCount
@@ -84,7 +83,8 @@ type engFrame struct {
 
 // NewEngine binds a compiled program to a VM. The VM must have been created
 // for the exact module the program was compiled from, with the same cost
-// model.
+// model, and must not record coverage: only the reference interpreter
+// (vm.Run) marks Options.CoverInstrs.
 func NewEngine(p *Program, machine *vm.VM) (*Engine, error) {
 	if machine.Mod != p.mod {
 		return nil, fmt.Errorf("bytecode: program was compiled for a different module")
@@ -93,6 +93,9 @@ func NewEngine(p *Program, machine *vm.VM) (*Engine, error) {
 		return nil, fmt.Errorf("bytecode: cost model differs from the one the program was compiled with")
 	}
 	opts := machine.Options()
+	if opts.CoverInstrs != nil {
+		return nil, fmt.Errorf("bytecode: coverage runs need the tree engine (vm.Run)")
+	}
 	if p.prof != opts.SiteProfile {
 		return nil, fmt.Errorf("bytecode: program compiled with SiteProfile=%v but VM has SiteProfile=%v", p.prof, opts.SiteProfile)
 	}
@@ -104,7 +107,6 @@ func NewEngine(p *Program, machine *vm.VM) (*Engine, error) {
 		p:       p,
 		cm:      machine.CostModel(),
 		st:      &machine.Stats,
-		cover:   opts.CoverInstrs,
 		prof:    machine.SiteProfile(),
 		lfStack: opts.LowFatStack,
 		intr:    opts.Interrupt,
@@ -125,14 +127,13 @@ func NewEngine(p *Program, machine *vm.VM) (*Engine, error) {
 		}
 		e.consts[i] = cs
 	}
-	// Bind the native tier when the program supports it: compiler tier and
-	// no coverage, because native code skips per-op coverage marking.
+	// Bind the native tier when the program supports it (compiler tier).
 	// Site-profiled programs lower with baked site commits; only forensics
 	// stays interpreter-only (native() counts the fallback reason). A nil
 	// result — build failure, disabled platform, policy — silently leaves
 	// every function on the bytecode dispatch loop; semantics never depend
 	// on the binding.
-	if p.tier == EngineCompiler && opts.CoverInstrs == nil {
+	if p.tier == EngineCompiler {
 		e.tierFns = make([]tierCount, len(p.fns))
 		if e.nat = p.native(); e.nat != nil {
 			e.bindEnv()
@@ -336,7 +337,7 @@ func b2u(b bool) uint64 {
 // exec is the dispatch loop. The preamble above the switch is the exact
 // accounting sequence of the reference interpreter's instruction loop:
 // step++, step-limit check, interrupt poll at every multiple of
-// vm.InterruptStride, Stats.Instrs++, Stats.Cost, coverage mark.
+// vm.InterruptStride, Stats.Instrs++, Stats.Cost.
 //
 // Under the compiler tier a function with native code enters it once, at
 // pc 0; a bail-out (step limit inside a batch, interrupt pending) ends the
@@ -355,7 +356,6 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 	st := e.st
 	cm := e.cm
 	cnt := &e.env.Cnt
-	cover := e.cover
 	ops := fn.ops
 	pc := 0
 	if code := e.natCode(fn); code != nil {
@@ -377,9 +377,6 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 			}
 			st.Instrs++
 			st.Cost += o.cost
-			if cover != nil {
-				cover[o.instr] = true
-			}
 		}
 		switch o.code {
 		case opAdd:
@@ -572,13 +569,19 @@ func (e *Engine) exec(fn *Fn, args []uint64) (uint64, error) {
 
 		case opPhiCopy:
 			pl := &fn.phis[o.x]
-			buf := e.phibuf[:0]
-			for _, r := range pl.srcs {
-				buf = append(buf, regs[r])
-			}
-			e.phibuf = buf
-			for i, d := range pl.dsts {
-				regs[d] = buf[i]
+			if pl.seq {
+				for i, d := range pl.dsts {
+					regs[d] = regs[pl.srcs[i]]
+				}
+			} else {
+				buf := e.phibuf[:0]
+				for _, r := range pl.srcs {
+					buf = append(buf, regs[r])
+				}
+				e.phibuf = buf
+				for i, d := range pl.dsts {
+					regs[d] = buf[i]
+				}
 			}
 			st.Instrs += uint64(len(pl.dsts))
 			pc = int(o.b)

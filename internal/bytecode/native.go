@@ -422,7 +422,6 @@ func (e *Engine) execNative(fn *Fn, code natFunc, regs []uint64) (npc int, ret u
 // preamble, operating on the canonical register file. The generated code
 // routes every op the native tier does not inline through here: the
 // gate-class ops, which Engine.gate implements for the dispatch loop too.
-// Coverage runs never reach native code, so there is no cover mark.
 func (e *Engine) gateOp(fn *Fn, pc int, regs []uint64) error {
 	o := &fn.ops[pc]
 	s := e.env.Cnt[cntSteps] + 1

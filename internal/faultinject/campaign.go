@@ -169,8 +169,10 @@ type Options struct {
 	NoBudget bool
 	// Parallel is the worker count (default GOMAXPROCS, capped at 8).
 	Parallel int
-	// Engine selects the execution engine for coverage and variant runs
-	// (default bytecode.EngineTree).
+	// Engine selects the execution engine for variant runs (default
+	// bytecode.EngineTree). The coverage pass that picks fault sites always
+	// runs on the reference interpreter, the only engine that records
+	// coverage.
 	Engine bytecode.EngineKind
 	// Hoist enables loop-aware check hoisting (core.Config.OptHoist) in
 	// every variant build, for differential security runs of the widened
@@ -339,7 +341,7 @@ func planBench(b *spec.Benchmark, o Options) (*ir.Module, []Fault, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("coverage vm: %w", err)
 	}
-	code, err := bytecode.RunOn(o.Engine, machine)
+	code, err := machine.Run()
 	if err != nil {
 		return nil, nil, fmt.Errorf("coverage run: %w", err)
 	}

@@ -6,19 +6,18 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/core"
 	"repro/internal/spec"
-	"repro/internal/vm"
 )
 
 // TestResultCacheKeyedByAxes pins down the result-cache contract: a cached
 // result is served again only when every axis that changes the observable
-// outcome matches — the engine, the site-profile setting, and the cost
-// model. Serving a hit across any of those axes would silently report one
-// configuration's numbers for another.
+// outcome matches — the engine and the site-profile setting. Serving a hit
+// across either axis would silently report one configuration's numbers for
+// another.
 func TestResultCacheKeyedByAxes(t *testing.T) {
 	b := spec.All()[0]
 	cfg := PaperConfig(core.MechSoftBound)
 	r := NewRunner()
-	r.SetEngine(bytecode.EngineBytecode)
+	r.SetAxes(RunAxes{Engine: bytecode.EngineBytecode})
 
 	run := func(what string) *Result {
 		t.Helper()
@@ -42,7 +41,7 @@ func TestResultCacheKeyedByAxes(t *testing.T) {
 
 	// Axis 1: site profiling. The profiled run must not reuse the
 	// unprofiled entry (it would have no counters), and vice versa.
-	r.SetSiteProfile(true)
+	r.SetAxes(RunAxes{Engine: bytecode.EngineBytecode, SiteProfile: true})
 	prof := run("site-profile run")
 	if prof == base {
 		t.Error("site-profile run was served the unprofiled cached result")
@@ -50,31 +49,15 @@ func TestResultCacheKeyedByAxes(t *testing.T) {
 	if prof.SiteProfile == nil {
 		t.Error("site-profile run recorded no per-site counters")
 	}
-	r.SetSiteProfile(false)
 
 	// Axis 2: engine. Stats are differential-tested identical, but wall
 	// times and failure modes are per-engine, so entries must not be shared.
-	r.SetEngine(bytecode.EngineTree)
+	r.SetAxes(RunAxes{Engine: bytecode.EngineTree})
 	tree := run("tree-engine run")
 	if tree == base || tree == prof {
 		t.Error("tree-engine run was served a bytecode-engine cached result")
 	}
-	r.SetEngine(bytecode.EngineBytecode)
-
-	// Axis 3: cost model. A custom model must miss, and its effect must be
-	// visible in the accumulated cost.
-	cm := *vm.DefaultCostModel()
-	cm.SBCheck *= 10
-	r.SetCostModel(&cm)
-	costly := run("custom-cost run")
-	if costly == base || costly == prof || costly == tree {
-		t.Error("custom-cost run was served a default-cost cached result")
-	}
-	if costly.Stats.Cost <= base.Stats.Cost {
-		t.Errorf("10x SBCheck cost model did not raise cost: default=%d custom=%d",
-			base.Stats.Cost, costly.Stats.Cost)
-	}
-	r.SetCostModel(nil)
+	r.SetAxes(RunAxes{Engine: bytecode.EngineBytecode})
 
 	// Returning to the original settings must land back on the original
 	// entry — the axis keys are stable, not merely distinct.
@@ -82,8 +65,8 @@ func TestResultCacheKeyedByAxes(t *testing.T) {
 		t.Error("restoring the original settings did not hit the original entry")
 	}
 
-	if got := len(r.cache); got != 4 {
-		t.Errorf("cache holds %d entries, want 4 (one per distinct axis combination)", got)
+	if got := len(r.cache); got != 3 {
+		t.Errorf("cache holds %d entries, want 3 (one per distinct axis combination)", got)
 	}
 }
 

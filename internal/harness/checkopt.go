@@ -83,7 +83,7 @@ func (r *Runner) CheckOptAblation(benches []*spec.Benchmark) *CheckOptReport {
 		benches = spec.All()
 	}
 	mechs := []core.Mech{core.MechSoftBound, core.MechLowFat}
-	rep := &CheckOptReport{Engine: r.Engine().String()}
+	rep := &CheckOptReport{Engine: r.Axes().Engine.String()}
 	rep.Rows = make([]CheckOptRow, len(benches)*len(mechs))
 
 	var wg sync.WaitGroup

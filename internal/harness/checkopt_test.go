@@ -21,9 +21,9 @@ var loopHeavy = []string{"179art", "456hmmer"}
 // engines must agree on every statistic of the hoisted runs.
 func TestHoistReducesDynamicChecks(t *testing.T) {
 	bc := NewRunner()
-	bc.SetEngine(bytecode.EngineBytecode)
+	bc.SetAxes(RunAxes{Engine: bytecode.EngineBytecode})
 	tree := NewRunner()
-	tree.SetEngine(bytecode.EngineTree)
+	tree.SetAxes(RunAxes{Engine: bytecode.EngineTree})
 	for _, name := range loopHeavy {
 		b := spec.ByName(name)
 		if b == nil {

@@ -120,17 +120,11 @@ type Runner struct {
 	mu       sync.Mutex
 	prefixes map[prefixKey]*prefixEntry
 	cache    map[string]*cacheEntry
-	engine   bytecode.EngineKind
-	par      int
-	// siteProfile enables per-check-site counters (vm.Options.SiteProfile)
-	// for subsequent runs; results are cached per setting.
-	siteProfile bool
-	// forensics enables violation forensics (vm.Options.Forensics) for
-	// subsequent runs; results are cached per setting.
-	forensics bool
-	// cost overrides the VM cost model (nil = default); part of the cache
-	// key, since it changes every dynamic statistic.
-	cost *vm.CostModel
+	// axes are the execution axes of Run (SetAxes); results are cached per
+	// axes, so changing them mid-campaign is safe.
+	axes RunAxes
+	// par caps concurrently admitted cells (SetParallelism).
+	par int
 	// trace, when non-nil, receives pipeline/execution spans.
 	trace *telemetry.Trace
 	// log, when non-nil, receives structured per-cell records (start,
@@ -199,7 +193,7 @@ func (e *prefixEntry) get(compute func() (*ir.Module, error)) (m *ir.Module, sha
 }
 
 // NewRunner returns an empty runner using the tree engine (the reference
-// default; campaigns opt into bytecode via SetEngine).
+// default; campaigns opt into another engine via SetAxes).
 func NewRunner() *Runner {
 	return &Runner{
 		prefixes: make(map[prefixKey]*prefixEntry),
@@ -207,44 +201,20 @@ func NewRunner() *Runner {
 	}
 }
 
-// SetEngine selects the execution engine for subsequent runs. Results are
-// cached per engine, so switching mid-campaign is safe (if pointless).
-func (r *Runner) SetEngine(k bytecode.EngineKind) {
+// SetAxes selects the execution axes (engine, site profiling, forensics)
+// of subsequent Run calls. Results are cached per axes, so switching
+// mid-campaign is safe (if pointless).
+func (r *Runner) SetAxes(ax RunAxes) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.engine = k
+	r.axes = ax
 }
 
-// Engine returns the selected execution engine.
-func (r *Runner) Engine() bytecode.EngineKind {
+// Axes returns the execution axes of Run.
+func (r *Runner) Axes() RunAxes {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.engine
-}
-
-// SetSiteProfile toggles per-check-site execution counters for subsequent
-// runs. Profiled and unprofiled results are cached separately.
-func (r *Runner) SetSiteProfile(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.siteProfile = on
-}
-
-// SetForensics toggles violation forensics (allocation-site tracking, the
-// flight recorder, and structured violation reports) for subsequent runs.
-// Forensic and plain results are cached separately.
-func (r *Runner) SetForensics(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.forensics = on
-}
-
-// SetCostModel overrides the VM cost model for subsequent runs (nil restores
-// the default). The model is part of the result-cache key.
-func (r *Runner) SetCostModel(cm *vm.CostModel) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cost = cm
+	return r.axes
 }
 
 // SetTrace installs a span recorder for subsequent runs: each uncached cell
@@ -310,16 +280,14 @@ func (r *Runner) SetTraceID(id string) {
 	r.traceID = id
 }
 
-// SetParallelism caps concurrent benchmark cells in figure sweeps (default
-// 8; values below 1 reset to the default). Configure before running cells:
-// it rebuilds the admission gate.
+// SetParallelism caps concurrently admitted cells (default 8; values below
+// 1 reset to the default). Configure before running cells: it rebuilds the
+// admission gate.
 func (r *Runner) SetParallelism(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.par = n
-	if r.pol.Parallel <= 0 {
-		r.sup = nil
-	}
+	r.sup = nil
 }
 
 // configKey identifies a configuration for result caching.
@@ -361,23 +329,6 @@ func (r *Runner) prefix(b *spec.Benchmark, end opt.ExtPoint, level int, tr *tele
 	return m, err
 }
 
-// costKey fingerprints a cost model for result-cache keys: two runs under
-// different models must never share a cached result.
-func costKey(cm *vm.CostModel) string {
-	if cm == nil {
-		return "default"
-	}
-	return fmt.Sprintf("%+v", *cm)
-}
-
-// Axes snapshots the runner's default execution axes (as configured by
-// SetEngine, SetSiteProfile, SetForensics and SetCostModel).
-func (r *Runner) Axes() RunAxes {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return RunAxes{Engine: r.engine, SiteProfile: r.siteProfile, Forensics: r.forensics, Cost: r.cost}
-}
-
 // Run executes one benchmark under one configuration and the runner's
 // default axes, caching the result.
 func (r *Runner) Run(b *spec.Benchmark, cfg RunConfig) (*Result, error) {
@@ -401,14 +352,14 @@ func (r *Runner) RunCell(b *spec.Benchmark, cfg RunConfig, ax RunAxes) (*Result,
 }
 
 // RunCellCtx executes one cell under explicit axes, caching the result under
-// its CacheKey and reporting whether it was served from cache. The cache is
+// its RunAxes.Key and reporting whether it was served from cache. The cache is
 // singleflight: concurrent calls with the same key compute the cell exactly
 // once (the others count as hits and receive the same result). Explicit axes
 // make RunCellCtx safe for callers that need different engines concurrently —
 // the campaign server passes each request's axes rather than mutating
 // runner state.
 func (r *Runner) RunCellCtx(b *spec.Benchmark, cfg RunConfig, ax RunAxes, rc RunCtx) (*Result, bool, error) {
-	key := ax.Key(b.Name, cfg).String()
+	key := ax.Key(b.Name, cfg)
 	r.mu.Lock()
 	reg := r.metrics
 	e, ok := r.cache[key]
@@ -421,7 +372,7 @@ func (r *Runner) RunCellCtx(b *spec.Benchmark, cfg RunConfig, ax RunAxes, rc Run
 	executed := false
 	e.once.Do(func() {
 		executed = true
-		e.res, e.err = r.supervise(b, cfg, ax.Engine, ax.SiteProfile, ax.Forensics, ax.Cost, key, rc)
+		e.res, e.err = r.supervise(b, cfg, ax, key, rc)
 	})
 	r.mu.Lock()
 	if executed {
@@ -459,7 +410,7 @@ func (e *panicError) Error() string { return e.msg }
 // engines' step-count poll. The module is a new instance every attempt, so
 // its program is compiled directly rather than through a program cache that
 // could never hit and would only keep it alive.
-func (r *Runner) runAttempt(b *spec.Benchmark, cfg RunConfig, engine bytecode.EngineKind, prof, forensics bool, cost *vm.CostModel, flag *vm.InterruptFlag, attempt int, rc RunCtx) (res *Result, err error) {
+func (r *Runner) runAttempt(b *spec.Benchmark, cfg RunConfig, ax RunAxes, flag *vm.InterruptFlag, attempt int, rc RunCtx) (res *Result, err error) {
 	// A panic anywhere in the pipeline, instrumentation or VM must not take
 	// down the whole campaign: it becomes this run's failure.
 	defer func() {
@@ -474,7 +425,7 @@ func (r *Runner) runAttempt(b *spec.Benchmark, cfg RunConfig, engine bytecode.En
 	r.mu.Lock()
 	tr := r.trace
 	r.mu.Unlock()
-	lg := r.cellLogger(b.Name, cfg.Label, engine, rc)
+	lg := r.cellLogger(b.Name, cfg.Label, ax.Engine, rc)
 
 	if lg != nil {
 		lg.Debug("cell start", "attempt", attempt+1)
@@ -494,8 +445,8 @@ func (r *Runner) runAttempt(b *spec.Benchmark, cfg RunConfig, engine bytecode.En
 		return nil, err
 	}
 
-	vopts := vm.Options{SiteProfile: prof, Forensics: forensics, Cost: cost, Interrupt: flag}
-	if forensics && res.InstrStats != nil {
+	vopts := vm.Options{SiteProfile: ax.SiteProfile, Forensics: ax.Forensics, Interrupt: flag}
+	if ax.Forensics && res.InstrStats != nil {
 		vopts.Sites = res.InstrStats.Sites
 		vopts.AllocSites = res.InstrStats.AllocSites
 	}
@@ -514,7 +465,7 @@ func (r *Runner) runAttempt(b *spec.Benchmark, cfg RunConfig, engine bytecode.En
 	if err != nil {
 		return nil, err
 	}
-	sp := tr.Begin("execute:"+engine.String(), tid)
+	sp := tr.Begin("execute:"+ax.Engine.String(), tid)
 	if id := r.effectiveTraceID(rc); id != "" {
 		sp.Arg("trace_id", id)
 	}
@@ -522,14 +473,14 @@ func (r *Runner) runAttempt(b *spec.Benchmark, cfg RunConfig, engine bytecode.En
 		sp.Arg("attempt", attempt+1)
 	}
 	start := time.Now()
-	code, rerr := bytecode.RunOn(engine, machine)
+	code, rerr := bytecode.RunOn(ax.Engine, machine)
 	res.Wall = time.Since(start)
 	sp.Arg("cost", machine.Stats.Cost)
 	sp.Arg("checks", machine.Stats.Checks)
 	sp.End()
 	res.Output = machine.Output()
 	res.Stats = machine.Stats
-	if prof {
+	if ax.SiteProfile {
 		res.SiteProfile = machine.SiteProfile()
 	}
 	if rerr != nil {

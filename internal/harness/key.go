@@ -6,66 +6,41 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/core"
-	"repro/internal/vm"
 )
 
-// CacheKey is the content-addressed identity of one campaign cell: every
-// axis that changes the observable result of executing a benchmark. Its
-// String form is shared by the runner's in-process result cache, the
-// checkpoint journal (resilience.Journal entries are keyed by it), and the
-// campaign server (mi-serve deduplicates cells across concurrent requests by
-// it) — a journal written by mi-bench warms mi-serve's cache and vice versa,
-// so the format must stay stable. TestCacheKeyStability pins it.
-type CacheKey struct {
-	// Bench is the benchmark name (spec.Benchmark.Name).
-	Bench string
-	// Config is the run configuration. Its Label is display-only and is
-	// deliberately NOT part of the key: two labels naming identical
-	// configurations (e.g. Figure 9's "softbound" and Figure 10's
-	// "softbound-opt") share one cell.
-	Config RunConfig
+// RunAxes bundles the execution axes of a cell that are not part of its
+// RunConfig: the engine and the VM instrumentation toggles. The Runner holds
+// one default set (SetAxes); the campaign server passes explicit per-request
+// axes instead, so concurrent requests with different engines never race on
+// runner state.
+type RunAxes struct {
 	// Engine is the execution engine. Engines are differentially tested to
 	// identical stats, but wall times and failure modes are per-engine, so
-	// entries are never shared across them.
+	// results are never shared across them.
 	Engine bytecode.EngineKind
 	// SiteProfile and Forensics select the instrumented VM variants; each
 	// caches separately (a profiled result carries counters a plain run
 	// lacks, and vice versa).
 	SiteProfile bool
 	Forensics   bool
-	// Cost is the VM cost model override (nil = default); it changes every
-	// dynamic statistic.
-	Cost *vm.CostModel
 }
 
-// String renders the key in its stable on-disk form.
-func (k CacheKey) String() string {
-	return k.Bench + "|" + configKey(k.Config) + "|" + k.Engine.String() +
-		fmt.Sprintf("|prof=%t|forensics=%t|cost=%s", k.SiteProfile, k.Forensics, costKey(k.Cost))
-}
-
-// RunAxes bundles the execution axes of a cell that are not part of its
-// RunConfig: the engine, the VM instrumentation toggles, and the cost model.
-// The Runner holds one default set (its Set* methods); the campaign server
-// passes explicit per-request axes instead, so concurrent requests with
-// different engines never race on runner state.
-type RunAxes struct {
-	Engine      bytecode.EngineKind
-	SiteProfile bool
-	Forensics   bool
-	Cost        *vm.CostModel
-}
-
-// Key builds the content-addressed cache key for one cell under these axes.
-func (ax RunAxes) Key(bench string, cfg RunConfig) CacheKey {
-	return CacheKey{
-		Bench:       bench,
-		Config:      cfg,
-		Engine:      ax.Engine,
-		SiteProfile: ax.SiteProfile,
-		Forensics:   ax.Forensics,
-		Cost:        ax.Cost,
-	}
+// Key renders the content-addressed identity of one campaign cell under
+// these axes: every input that changes the observable result of executing
+// the benchmark. The key is shared by the runner's in-process result cache,
+// the checkpoint journal (resilience.Journal entries are keyed by it) and
+// the campaign server (mi-serve deduplicates cells across concurrent
+// requests by it) — a journal written by mi-bench warms mi-serve's cache and
+// vice versa, so the format must stay stable; TestCacheKeyStability pins it.
+//
+// The config's Label is display-only and deliberately not part of the key:
+// two labels naming identical configurations (e.g. Figure 9's "softbound"
+// and Figure 10's "softbound-opt") share one cell. Every run uses
+// vm.DefaultCostModel; the key still ends in the constant "cost=default" so
+// that existing journals keep replaying.
+func (ax RunAxes) Key(bench string, cfg RunConfig) string {
+	return bench + "|" + configKey(cfg) + "|" + ax.Engine.String() +
+		fmt.Sprintf("|prof=%t|forensics=%t|cost=default", ax.SiteProfile, ax.Forensics)
 }
 
 // namedConfigs maps the wire names a campaign request may use to their

@@ -7,67 +7,57 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/core"
 	"repro/internal/opt"
-	"repro/internal/vm"
 )
 
-// TestCacheKeyStability pins the CacheKey string form field by field. The
-// key is the shared content address of a cell across the CLI's in-process
-// cache, the checkpoint journal on disk, and the campaign server's dedup
-// map: silently changing its format would orphan every existing journal
-// (cells recompute instead of replaying) and break server/CLI report
-// equality. Any intentional format change must update these goldens AND bump
-// the journal version.
+// TestCacheKeyStability pins the RunAxes.Key string form field by field.
+// The key is the shared content address of a cell across the CLI's
+// in-process cache, the checkpoint journal on disk, and the campaign
+// server's dedup map: silently changing its format would orphan every
+// existing journal (cells recompute instead of replaying) and break
+// server/CLI report equality. Any intentional format change must update
+// these goldens AND bump the journal version.
 func TestCacheKeyStability(t *testing.T) {
-	base := CacheKey{
-		Bench:  "164gzip",
-		Config: BaselineConfig(),
-		Engine: bytecode.EngineBytecode,
-	}
+	bc := RunAxes{Engine: bytecode.EngineBytecode}
 	cases := []struct {
-		name string
-		key  CacheKey
-		want string
+		name  string
+		bench string
+		cfg   RunConfig
+		axes  RunAxes
+		want  string
 	}{
 		{
 			"baseline",
-			base,
+			"164gzip", BaselineConfig(), bc,
 			"164gzip|i=false|m=0|mode=0|dom=false|hoist=false|szw=false|i2pw=false|c2w=false|ep=0|O=3|bytecode|prof=false|forensics=false|cost=default",
 		},
 		{
 			"softbound paper config",
-			CacheKey{Bench: "179art", Config: PaperConfig(core.MechSoftBound), Engine: bytecode.EngineBytecode},
+			"179art", PaperConfig(core.MechSoftBound), bc,
 			"179art|i=true|m=0|mode=0|dom=true|hoist=false|szw=true|i2pw=true|c2w=false|ep=2|O=3|bytecode|prof=false|forensics=false|cost=default",
 		},
 		{
 			"lowfat with hoisting on the tree engine",
-			CacheKey{Bench: "179art", Config: HoistConfig(core.MechLowFat), Engine: bytecode.EngineTree},
+			"179art", HoistConfig(core.MechLowFat), RunAxes{Engine: bytecode.EngineTree},
 			"179art|i=true|m=1|mode=0|dom=true|hoist=true|szw=false|i2pw=false|c2w=true|ep=2|O=3|tree|prof=false|forensics=false|cost=default",
 		},
 		{
 			"site profiling and forensics are distinct axes",
-			CacheKey{Bench: "164gzip", Config: BaselineConfig(), Engine: bytecode.EngineBytecode, SiteProfile: true, Forensics: true},
+			"164gzip", BaselineConfig(), RunAxes{Engine: bytecode.EngineBytecode, SiteProfile: true, Forensics: true},
 			"164gzip|i=false|m=0|mode=0|dom=false|hoist=false|szw=false|i2pw=false|c2w=false|ep=0|O=3|bytecode|prof=true|forensics=true|cost=default",
 		},
 	}
 	for _, c := range cases {
-		if got := c.key.String(); got != c.want {
+		if got := c.axes.Key(c.bench, c.cfg); got != c.want {
 			t.Errorf("%s:\n got  %s\n want %s", c.name, got, c.want)
 		}
 	}
 
-	// A custom cost model must change the key (its fields are part of the
-	// content address), and the Label must NOT (it is display-only: two
-	// labels naming the same configuration share one cell).
-	cm := *vm.DefaultCostModel()
-	cm.SBCheck *= 10
-	withCost := base
-	withCost.Cost = &cm
-	if withCost.String() == base.String() {
-		t.Error("cost model override did not change the key")
-	}
-	relabeled := base
-	relabeled.Config.Label = "renamed"
-	if relabeled.String() != base.String() {
+	// The Label must NOT change the key (it is display-only: two labels
+	// naming the same configuration share one cell).
+	base := bc.Key("164gzip", BaselineConfig())
+	relabeled := BaselineConfig()
+	relabeled.Label = "renamed"
+	if bc.Key("164gzip", relabeled) != base {
 		t.Error("Label leaked into the key: identical configs under different labels would stop sharing cells")
 	}
 
@@ -85,12 +75,11 @@ func TestCacheKeyStability(t *testing.T) {
 		func(c *RunConfig) { c.EP = opt.EPScalarOptimizerLate },
 		func(c *RunConfig) { c.OptLevel = 0 },
 	}
-	seen := map[string]bool{base.String(): true}
+	seen := map[string]bool{base: true}
 	for i, mut := range mutations {
-		k := base
-		k.Config = BaselineConfig()
-		mut(&k.Config)
-		s := k.String()
+		cfg := BaselineConfig()
+		mut(&cfg)
+		s := bc.Key("164gzip", cfg)
 		if seen[s] {
 			t.Errorf("mutation %d did not produce a distinct key: %s", i, s)
 		}

@@ -69,7 +69,7 @@ func TestRunnerMetricsReconcile(t *testing.T) {
 			t.Errorf("%s count = %d, want %d", h, got, len(configs))
 		}
 	}
-	eng := r.Engine().String()
+	eng := r.Axes().Engine.String()
 	for _, mech := range []string{"none", "softbound", "lowfat"} {
 		p := snap.Find("mi_cells_total", map[string]string{"engine": eng, "mechanism": mech, "status": "ok"})
 		if p == nil || p.Value != 1 {
@@ -165,7 +165,7 @@ func TestObsOffNeutral(t *testing.T) {
 // campaigns would diff), and the render names at least one function.
 func TestPerfReportTiers(t *testing.T) {
 	r := NewRunner()
-	r.SetEngine(bytecode.EngineCompiler)
+	r.SetAxes(RunAxes{Engine: bytecode.EngineCompiler})
 	reg := obs.NewRegistry()
 	r.SetMetrics(reg)
 	b := benchNamed(t, "164gzip")

@@ -127,7 +127,7 @@ func perfRecord(key string, res *Result) PerfRecord {
 func (r *Runner) PerfReport() *PerfReport {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rep := &PerfReport{Engine: r.engine.String(), SiteProfile: r.siteProfile, Records: []PerfRecord{}}
+	rep := &PerfReport{Engine: r.axes.Engine.String(), SiteProfile: r.axes.SiteProfile, Records: []PerfRecord{}}
 	PublishEngineTierMetrics(r.metrics)
 	rep.Metrics = r.metrics.Snapshot()
 	rep.Tiers = TierTableNow()

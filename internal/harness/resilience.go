@@ -26,17 +26,13 @@ func (r *Runner) SetResilience(pol resilience.Policy) {
 }
 
 // Supervisor returns the runner's cell supervisor, building it on first use
-// from the configured policy (parallelism defaults to SetParallelism's
-// value). mi-bench's signal handler calls its Cancel.
+// from the configured policy and SetParallelism's width. mi-bench's signal
+// handler calls its Cancel.
 func (r *Runner) Supervisor() *resilience.Supervisor {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.sup == nil {
-		pol := r.pol
-		if pol.Parallel <= 0 {
-			pol.Parallel = r.par
-		}
-		r.sup = resilience.NewSupervisor(pol)
+		r.sup = resilience.NewSupervisor(r.pol, r.par)
 		r.sup.SetMetrics(r.metrics)
 	}
 	return r.sup
@@ -187,14 +183,14 @@ func observeCell(reg *obs.Registry, engine bytecode.EngineKind, cfg RunConfig, s
 // shedding) by the supervisor, chaos injections, the per-attempt watchdog
 // flag, retry with backoff on transient failures, and checkpoint journaling
 // of the completed result.
-func (r *Runner) supervise(b *spec.Benchmark, cfg RunConfig, engine bytecode.EngineKind, prof, forensics bool, cost *vm.CostModel, key string, rc RunCtx) (*Result, error) {
+func (r *Runner) supervise(b *spec.Benchmark, cfg RunConfig, ax RunAxes, key string, rc RunCtx) (*Result, error) {
 	r.mu.Lock()
 	rec := r.resumed[key]
 	chaos := r.chaos
 	journal := r.journal
 	reg := r.metrics
 	r.mu.Unlock()
-	lg := r.cellLogger(b.Name, cfg.Label, engine, rc)
+	lg := r.cellLogger(b.Name, cfg.Label, ax.Engine, rc)
 	if rec != nil {
 		res := resumeResult(b, cfg, rec)
 		reg.Counter("mi_cells_resumed_total", "Cells replayed from the checkpoint journal instead of executing.").Inc()
@@ -208,10 +204,10 @@ func (r *Runner) supervise(b *spec.Benchmark, cfg RunConfig, engine bytecode.Eng
 	maxAttempts := sup.MaxAttempts()
 	var attempts []resilience.Attempt
 	for attempt := 0; ; attempt++ {
-		cell := sup.BeginTier(key, attempt, engine.String())
+		cell := sup.BeginTier(key, attempt, ax.Engine.String())
 		if cell.Shed {
 			reg.Counter("mi_cell_sheds_total", "Cells shed (skipped) by the supervisor, by cause.", obs.L("cause", cell.ShedCause)).Inc()
-			observeCell(reg, engine, cfg, resilience.StatusSkipped, 0, time.Since(entered))
+			observeCell(reg, ax.Engine, cfg, resilience.StatusSkipped, 0, time.Since(entered))
 			if lg != nil {
 				lg.Warn("cell shed", "cause", cell.ShedCause)
 			}
@@ -232,7 +228,7 @@ func (r *Runner) supervise(b *spec.Benchmark, cfg RunConfig, engine bytecode.Eng
 			kill = time.AfterFunc(act.KillAfter, func() { flag.Interrupt(vm.IntrChaos) })
 		}
 		start := time.Now()
-		res, err := r.runAttempt(b, cfg, engine, prof, forensics, cost, cell.Flag, attempt, rc)
+		res, err := r.runAttempt(b, cfg, ax, cell.Flag, attempt, rc)
 		if kill != nil {
 			kill.Stop()
 		}
@@ -269,7 +265,7 @@ func (r *Runner) supervise(b *spec.Benchmark, cfg RunConfig, engine bytecode.Eng
 		}
 		res.Status = status
 		res.Attempts = attempts
-		observeCell(reg, engine, cfg, status, res.Wall, time.Since(entered))
+		observeCell(reg, ax.Engine, cfg, status, res.Wall, time.Since(entered))
 		if journal != nil && status.Completed() {
 			if jerr := journal.Append(key, cellRecord(key, res)); jerr != nil {
 				if lg != nil {

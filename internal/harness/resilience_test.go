@@ -78,7 +78,7 @@ func TestDeadlineTimesOutInfiniteLoop(t *testing.T) {
 	for _, engine := range []bytecode.EngineKind{bytecode.EngineTree, bytecode.EngineBytecode} {
 		t.Run(engine.String(), func(t *testing.T) {
 			r := NewRunner()
-			r.SetEngine(engine)
+			r.SetAxes(RunAxes{Engine: engine})
 			r.SetResilience(resilience.Policy{Deadline: 30 * time.Millisecond, MaxAttempts: 3})
 			done := make(chan *Result, 1)
 			go func() {

@@ -14,7 +14,7 @@ import (
 // emits the oldest active cell at its cadence, and stop halts emissions
 // idempotently.
 func TestActiveAndHeartbeat(t *testing.T) {
-	s := NewSupervisor(Policy{Parallel: 2})
+	s := NewSupervisor(Policy{}, 2)
 	c := s.BeginTier("cell-a", 1, "compiler")
 	if c.Shed {
 		t.Fatal("cell shed with an empty supervisor")
@@ -85,7 +85,7 @@ func TestActiveAndHeartbeat(t *testing.T) {
 // TestWatchdogMetric pins the watchdog-fire counter: a cell that outlives
 // its deadline increments both WatchdogFires and mi_watchdog_fires_total.
 func TestWatchdogMetric(t *testing.T) {
-	s := NewSupervisor(Policy{Deadline: 5 * time.Millisecond, Parallel: 1})
+	s := NewSupervisor(Policy{Deadline: 5 * time.Millisecond}, 1)
 	reg := obs.NewRegistry()
 	s.SetMetrics(reg)
 	c := s.Begin("slow-cell", 0)

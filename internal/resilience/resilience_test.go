@@ -97,7 +97,7 @@ func TestInterruptFlagFirstWriterWins(t *testing.T) {
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
 	pol := Policy{BackoffBase: 100 * time.Millisecond, BackoffMax: time.Second, Seed: 7}
-	a, b := NewSupervisor(pol), NewSupervisor(pol)
+	a, b := NewSupervisor(pol, 0), NewSupervisor(pol, 0)
 	for i := 0; i < 8; i++ {
 		da, db := a.Backoff(i), b.Backoff(i)
 		if da != db {
@@ -117,7 +117,7 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 }
 
 func TestSupervisorAdmissionWidth(t *testing.T) {
-	s := NewSupervisor(Policy{Parallel: 2})
+	s := NewSupervisor(Policy{}, 2)
 	var inflight, peak atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -148,7 +148,7 @@ func TestSupervisorAdmissionWidth(t *testing.T) {
 }
 
 func TestSupervisorMemoryGateShedsParallelismFirst(t *testing.T) {
-	s := NewSupervisor(Policy{Parallel: 4, MemBudget: 1000})
+	s := NewSupervisor(Policy{MemBudget: 1000}, 4)
 	used := atomic.Uint64{}
 	used.Store(850) // above the 80% degradation threshold, below the budget
 	s.heapUsed = used.Load
@@ -186,7 +186,7 @@ func TestSupervisorMemoryGateShedsParallelismFirst(t *testing.T) {
 }
 
 func TestSupervisorMemoryGateShedsCellAsLastResort(t *testing.T) {
-	s := NewSupervisor(Policy{Parallel: 4, MemBudget: 1000})
+	s := NewSupervisor(Policy{MemBudget: 1000}, 4)
 	// Over the full budget and the stub ignores the forced GC, so even a
 	// solo cell cannot fit: the gate must shed rather than hang.
 	s.heapUsed = func() uint64 { return 2000 }
@@ -204,7 +204,7 @@ func TestSupervisorMemoryGateShedsCellAsLastResort(t *testing.T) {
 }
 
 func TestSupervisorCancel(t *testing.T) {
-	s := NewSupervisor(Policy{Parallel: 1})
+	s := NewSupervisor(Policy{}, 1)
 	running := s.Begin("running", 0)
 	if running.Shed {
 		t.Fatal("first cell shed")
@@ -233,7 +233,7 @@ func TestSupervisorCancel(t *testing.T) {
 }
 
 func TestSupervisorDeadlineArmsWatchdog(t *testing.T) {
-	s := NewSupervisor(Policy{Parallel: 1, Deadline: 5 * time.Millisecond})
+	s := NewSupervisor(Policy{Deadline: 5 * time.Millisecond}, 1)
 	c := s.Begin("cell", 0)
 	defer c.End()
 	deadline := time.After(2 * time.Second)

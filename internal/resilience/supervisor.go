@@ -36,9 +36,6 @@ type Policy struct {
 	// even a solo cell would start above the full budget after a forced
 	// GC.
 	MemBudget uint64
-	// Parallel caps concurrently admitted cells (<=0 = 8, matching the
-	// harness default).
-	Parallel int
 }
 
 func (p Policy) withDefaults() Policy {
@@ -50,9 +47,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.BackoffMax <= 0 {
 		p.BackoffMax = 5 * time.Second
-	}
-	if p.Parallel <= 0 {
-		p.Parallel = 8
 	}
 	return p
 }
@@ -66,6 +60,8 @@ const memShedFraction = 0.8
 // It is safe for concurrent use by the campaign's worker goroutines.
 type Supervisor struct {
 	pol Policy
+	// width caps concurrently admitted cells.
+	width int
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -101,23 +97,25 @@ type ActiveCell struct {
 	Tier string
 }
 
-// NewSupervisor builds a supervisor for the policy.
-func NewSupervisor(pol Policy) *Supervisor {
+// NewSupervisor builds a supervisor for the policy that admits at most
+// width cells at once (<=0 = 8).
+func NewSupervisor(pol Policy, width int) *Supervisor {
 	pol = pol.withDefaults()
 	seed := pol.Seed
 	if seed == 0 {
 		seed = 0x5eed
 	}
+	if width <= 0 {
+		width = 8
+	}
 	return &Supervisor{
 		pol:      pol,
+		width:    width,
 		rng:      rand.New(rand.NewSource(seed)),
 		active:   make(map[*vm.InterruptFlag]*ActiveCell),
 		heapUsed: liveHeapBytes,
 	}
 }
-
-// Policy returns the effective (defaulted) policy.
-func (s *Supervisor) Policy() Policy { return s.pol }
 
 // MaxAttempts returns the per-cell attempt cap.
 func (s *Supervisor) MaxAttempts() int { return s.pol.MaxAttempts }
@@ -283,7 +281,7 @@ func (s *Supervisor) BeginTier(key string, attempt int, tier string) *CellCtx {
 			c.Shed, c.ShedCause, c.done = true, "canceled", true
 			return c
 		}
-		width := s.pol.Parallel
+		width := s.width
 		overBudget := false
 		if s.pol.MemBudget > 0 {
 			used := s.heapUsed()

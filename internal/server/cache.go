@@ -14,9 +14,10 @@ import (
 // singleflight cache — this file is the glue that turns HTTP campaign
 // requests into content-addressed cells, warms the cache from a checkpoint
 // journal, and snapshots cache statistics for /statsz. Keying by
-// harness.CacheKey (source benchmark x config x engine x cost model) is what
-// makes identical cells across requests the common case: a fleet of users
-// re-running the standard matrix shares one computation per cell.
+// harness.RunAxes.Key (source benchmark x config x engine x instrumentation
+// axes) is what makes identical cells across requests the common case: a
+// fleet of users re-running the standard matrix shares one computation per
+// cell.
 
 // CampaignRequest is the JSON body of POST /campaign: a benchmark set, a
 // configuration matrix (named — see harness.ConfigNames — so server and
@@ -27,7 +28,7 @@ type CampaignRequest struct {
 	Benches []string `json:"benches,omitempty"`
 	// Configs names the configurations of the matrix (required).
 	Configs []string `json:"configs"`
-	// Engine is "tree" or "bytecode" (default).
+	// Engine is "tree", "bytecode" (default) or "compiler".
 	Engine string `json:"engine,omitempty"`
 	// SiteProfile and Forensics toggle the instrumented VM variants.
 	SiteProfile bool `json:"site_profile,omitempty"`
@@ -95,7 +96,7 @@ func expand(req CampaignRequest) ([]cell, harness.RunAxes, error) {
 				bench: b,
 				cfg:   cfg,
 				axes:  axes,
-				key:   axes.Key(b.Name, cfg).String(),
+				key:   axes.Key(b.Name, cfg),
 			})
 		}
 	}

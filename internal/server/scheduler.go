@@ -22,7 +22,7 @@ import (
 // O(1) forever after.
 
 // cell is one schedulable unit: a benchmark under a configuration and a set
-// of execution axes, content-addressed by its harness.CacheKey.
+// of execution axes, content-addressed by its harness.RunAxes.Key.
 type cell struct {
 	bench *spec.Benchmark
 	cfg   harness.RunConfig

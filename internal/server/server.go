@@ -39,8 +39,8 @@ type Config struct {
 	// WarmPath, when set, warms the result cache from this checkpoint
 	// journal at startup: journaled cells replay instead of executing.
 	WarmPath string
-	// Policy supervises cells (deadline, retries, memory budget); its
-	// Parallel field is overridden by Workers.
+	// Policy supervises cells (deadline, retries, memory budget); Workers
+	// also caps the cells it admits at once.
 	Policy resilience.Policy
 	// Logger, when non-nil, receives structured per-cell and per-request
 	// records; every record carries the request's trace_id.
@@ -77,9 +77,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	r := harness.NewRunner()
 	r.SetParallelism(cfg.Workers)
-	pol := cfg.Policy
-	pol.Parallel = cfg.Workers
-	r.SetResilience(pol)
+	r.SetResilience(cfg.Policy)
 	reg := obs.NewRegistry()
 	r.SetMetrics(reg)
 	r.SetLogger(cfg.Logger)

@@ -75,7 +75,7 @@ func TestServerMatchesLocalRun(t *testing.T) {
 			}
 
 			local := harness.NewRunner()
-			local.SetEngine(axes.Engine)
+			local.SetAxes(axes)
 			for _, c := range cells {
 				if _, err := local.Run(c.bench, c.cfg); err != nil {
 					t.Fatalf("local run %s: %v", c.key, err)

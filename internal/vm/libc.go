@@ -411,12 +411,12 @@ func libcPuts(v *VM, _ *ir.Instr, args []uint64) (uint64, error) {
 		return 0, err
 	}
 	v.Stats.Cost += uint64(len(s)) * v.cost.MemPerByte
-	fmt.Fprintln(v.stdout, s)
+	fmt.Fprintln(&v.out, s)
 	return uint64(len(s) + 1), nil
 }
 
 func libcPutchar(v *VM, _ *ir.Instr, args []uint64) (uint64, error) {
-	fmt.Fprintf(v.stdout, "%c", rune(byte(args[0])))
+	fmt.Fprintf(&v.out, "%c", rune(byte(args[0])))
 	return args[0], nil
 }
 
@@ -528,6 +528,6 @@ func libcPrintf(v *VM, call *ir.Instr, args []uint64) (uint64, error) {
 		}
 	}
 	s := out.String()
-	fmt.Fprint(v.stdout, s)
+	fmt.Fprint(&v.out, s)
 	return uint64(len(s)), nil
 }

@@ -13,7 +13,6 @@ package vm
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	"repro/internal/ir"
 	"repro/internal/lowfat"
@@ -62,31 +61,28 @@ type Options struct {
 	// accessed allocations are large enough (Figure 6). The paper disables
 	// these checks for runtime comparability (Section 5.1.2).
 	SBCheckWrappers bool
-	// Cost overrides the default cost model.
-	Cost *CostModel
 	// SiteProfile enables per-check-site execution counters: every executed
 	// check/metadata operation with a nonzero ir.Instr.Site is attributed to
 	// its site (see internal/telemetry). Off by default; when disabled each
 	// such operation pays only a nil check.
 	SiteProfile bool
-	// Stdout receives program output; defaults to an internal buffer
-	// readable via Output.
-	Stdout io.Writer
 	// MaxSteps aborts runaway programs (0 means the default of 2^34).
 	MaxSteps uint64
-	// Interrupt, when non-nil, is polled on the step-count path (every
-	// interruptStride instructions): a raised flag stops the run with an
+	// Interrupt, when non-nil, is polled whenever the step count reaches a
+	// multiple of InterruptStride: a raised flag stops the run with an
 	// InterruptError. Supervisors use it for wall-clock deadlines,
-	// campaign cancellation, and chaos-mode kills. Nil costs one counter
-	// decrement and branch per dispatch.
+	// campaign cancellation, and chaos-mode kills. A nil flag is never
+	// raised; the stride test on the step count runs either way.
 	Interrupt *InterruptFlag
 	// MemBudget, when nonzero, caps the bytes of address space the program
 	// may materialize; exceeding it fails the run with a mem.BudgetError
 	// instead of exhausting the host.
 	MemBudget uint64
 	// CoverInstrs, when non-nil, receives every executed instruction
-	// (coverage tracking for the fault-injection campaign). Sharing the map
-	// across concurrent VMs is the caller's problem.
+	// (coverage tracking for the fault-injection campaign). Only the
+	// reference interpreter (Run) records coverage; bytecode.NewEngine
+	// refuses a VM that sets it. Sharing the map across concurrent VMs is
+	// the caller's problem.
 	CoverInstrs map[*ir.Instr]bool
 	// Forensics enables violation forensics: allocation tracking keyed by
 	// ir AllocSite IDs, the flight recorder of recent memory events, and a
@@ -96,9 +92,6 @@ type Options struct {
 	// handlers and ops; when disabled each recording point pays only a nil
 	// check, like SiteProfile.
 	Forensics bool
-	// FlightSize is the flight-recorder ring capacity (0 means
-	// telemetry.DefaultFlightSize). Only meaningful with Forensics.
-	FlightSize int
 	// Sites resolves check-site IDs to source provenance in reports
 	// (optional; reports carry bare IDs without it).
 	Sites *telemetry.SiteTable
@@ -241,8 +234,8 @@ type VM struct {
 	globals   map[*ir.Global]uint64
 	funcAddrs map[*ir.Func]uint64
 	externals map[string]ExtFn
-	outBuf    *bytes.Buffer
-	stdout    io.Writer
+	// out collects the program's output (Output).
+	out bytes.Buffer
 	// siteProf is indexed by ir.Instr.Site; nil unless Options.SiteProfile,
 	// so the disabled case costs one nil check in the runtime handlers.
 	siteProf []SiteCount
@@ -265,16 +258,12 @@ type VM struct {
 // globals. The module must be fully linked (all called functions defined or
 // handled as externals).
 func New(mod *ir.Module, opts Options) (*VM, error) {
-	cm := opts.Cost
-	if cm == nil {
-		cm = DefaultCostModel()
-	}
 	v := &VM{
 		Mod:       mod,
 		AS:        mem.NewAddrSpace(),
 		Std:       mem.NewStdAllocator(mem.HeapBase, mem.HeapLimit),
 		opts:      opts,
-		cost:      cm,
+		cost:      DefaultCostModel(),
 		globals:   make(map[*ir.Global]uint64),
 		funcAddrs: make(map[*ir.Func]uint64),
 		externals: make(map[string]ExtFn),
@@ -301,7 +290,7 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 		v.siteProf = make([]SiteCount, maxSite+1)
 	}
 	if opts.Forensics {
-		v.flight = telemetry.NewFlight(opts.FlightSize)
+		v.flight = telemetry.NewFlight(telemetry.DefaultFlightSize)
 		v.allocs = make(map[uint64]allocRec)
 	}
 	v.AS.Limit = opts.MemBudget
@@ -309,12 +298,6 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 	if opts.Mechanism == MechSoftBound {
 		v.Trie = softbound.NewTrie()
 		v.Shadow = softbound.NewShadowStack(0) // one frame; grows with call depth
-	}
-	if opts.Stdout != nil {
-		v.stdout = opts.Stdout
-	} else {
-		v.outBuf = &bytes.Buffer{}
-		v.stdout = v.outBuf
 	}
 	registerLibc(v)
 	registerMIRuntime(v)
@@ -324,14 +307,8 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 	return v, nil
 }
 
-// Output returns the program output collected so far (empty if a custom
-// Stdout writer was supplied).
-func (v *VM) Output() string {
-	if v.outBuf == nil {
-		return ""
-	}
-	return v.outBuf.String()
-}
+// Output returns the program output collected so far.
+func (v *VM) Output() string { return v.out.String() }
 
 // RegisterExternal installs (or overrides) the handler for an external
 // function.
